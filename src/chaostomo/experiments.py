@@ -23,7 +23,7 @@ from . import __version__
 from .bloch_analysis import ideal_fidelity_curve, perturbed_basis
 from .chaos_metrics import loschmidt_echo, operator_incompatibility, relative_entropy_series
 from .kicked_top import KickedTopParams, floquet_pair, initial_observable, operator_trajectory
-from .series import MetricSeries
+from .series import MetricSeries, mean_and_stderr
 from .spin_algebra import SpinParams, haar_random_state, haar_random_unitary, hermitian_basis, pure_state_density
 from .tomography import fidelity_matrix
 
@@ -271,15 +271,6 @@ def _ensemble_states(config: ExperimentConfig, spin: SpinParams) -> np.ndarray:
     )
 
 
-def _mean_and_stderr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = matrix.mean(axis=0)
-    if matrix.shape[0] > 1:
-        stderr = matrix.std(axis=0, ddof=1) / np.sqrt(matrix.shape[0])
-    else:
-        stderr = np.zeros_like(mean)
-    return mean, stderr
-
-
 def _fidelity_series(
     config: ExperimentConfig,
     spin: SpinParams,
@@ -315,7 +306,7 @@ def _fidelity_series(
         traj_est = operator_trajectory(obs, estimator_map, config.n_steps)
         fid = fidelity_matrix(states, traj_record, traj_est, basis, config.noise_sigma, noise_parent)
 
-    mean, stderr = _mean_and_stderr(fid)
+    mean, stderr = mean_and_stderr(fid)
     params = _series_params(config, config_hash, **{"lambda": lam}, delta_lambda=delta_lambda)
     return MetricSeries("fidelity", np.arange(1, fid.shape[1] + 1), mean, stderr, params)
 
@@ -386,7 +377,7 @@ def _run_bloch_perturb(config: ExperimentConfig, config_hash: str):
         curves = np.stack(
             [ideal_fidelity_curve(pure_state_density(s), basis, rotated).values for s in states]
         )
-        mean, stderr = _mean_and_stderr(curves)
+        mean, stderr = mean_and_stderr(curves)
         params = _series_params(config, config_hash, eta=eta)
         series = MetricSeries("fidelity", np.arange(mean.size), mean, stderr, params)
         out.append((series, f"bloch_eta{eta:g}.csv"))

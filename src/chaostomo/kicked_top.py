@@ -1,5 +1,5 @@
 """Kicked-top Floquet maps, Heisenberg-picture operator trajectories, and the
-error unitary composing perturbed forward with ideal backward evolution.
+error unitary composing perturbed backward with ideal forward evolution.
 
 One driving period rotates the spin by ``alpha`` about x and then applies a
 torsional kick of strength ``lam`` about z; the perturbed map uses
@@ -111,9 +111,10 @@ def operator_trajectory(obs: np.ndarray, u: np.ndarray, n_steps: int) -> np.ndar
 
 
 def error_unitary(pair: FloquetPair, n: int) -> np.ndarray:
-    """Residual evolution after n perturbed forward and n ideal backward periods."""
+    """Residual evolution U_0^n (U^n)^dag: n perturbed periods backward, then n
+    ideal periods forward (U_0 ideal, U perturbed)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    forward = np.linalg.matrix_power(pair.ideal, n)
-    backward = np.linalg.matrix_power(pair.true_perturbed, n)
-    return forward @ backward.conj().T
+    ideal_n = np.linalg.matrix_power(pair.ideal, n)
+    perturbed_n = np.linalg.matrix_power(pair.true_perturbed, n)
+    return ideal_n @ perturbed_n.conj().T

@@ -1,4 +1,4 @@
-"""Shared container for time-indexed metric series."""
+"""Shared container for time-indexed metric series, and ensemble averaging."""
 
 from __future__ import annotations
 
@@ -38,3 +38,13 @@ class MetricSeries:
 
     def __len__(self) -> int:
         return self.values.size
+
+
+def mean_and_stderr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of a (samples, times) matrix, with standard errors (0 for one sample)."""
+    mean = matrix.mean(axis=0)
+    if matrix.shape[0] > 1:
+        stderr = matrix.std(axis=0, ddof=1) / np.sqrt(matrix.shape[0])
+    else:
+        stderr = np.zeros_like(mean)
+    return mean, stderr

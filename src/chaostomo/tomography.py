@@ -1,12 +1,14 @@
-"""Noisy measurement records, linear least-squares state estimation, and the
+"""Noisy measurement records, least-squares state estimation, and the
 projection onto physical states.
 
 The record is the time series of ensemble expectation values of an evolving
-observable plus additive Gaussian noise. Estimation inverts the linear map
-from Bloch components to expectations with a rank-revealing pseudoinverse,
-then finds the closest physical state in the noise-weighted metric by
-projected gradient descent (Euclidean projection = eigenvalue projection
-onto the probability simplex).
+observable plus additive Gaussian noise. Estimation works in operator space:
+with O_k the traceless measured operators and G = Tr(O_k O_l) their Gram
+matrix (= D D^T for the Bloch design D), rho_ml = I/d + sum_k c_k O_k with
+c = G^+ M from a rank-revealing pseudoinverse. Projected gradient descent
+then minimizes sum_k Tr(O_k (rho - rho_ml))^2 over density matrices; the
+Euclidean projection is the eigenvalue projection onto the probability
+simplex (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import MetricSeries
+from .series import MetricSeries, mean_and_stderr
 from .spin_algebra import pure_state_density
 
 __all__ = [
@@ -44,12 +46,9 @@ DEFAULT_SWEEP_MAX_ITER = 50_000
 
 _OBJECTIVE_FLOOR = 1e-30
 
-# Iterations used by the most recent projection call; profiling aid only.
-_last_iterations = 0
-
-# Iterate-displacement scale (relative to max(1, |r_ml|)) below which a
-# projection step counts as stagnant. Must sit above the float-resolution
-# wobble of the project/eigh pipeline.
+# Iterate-displacement scale (relative to max(1, |rho_ml - I/d|) in the move
+# measure) below which a projection step counts as stagnant. Must sit above
+# the float-resolution wobble of the project/eigh pipeline.
 _MOVE_FLOOR_SCALE = 2e-11
 
 
@@ -121,12 +120,48 @@ def simulate_record(rho0: np.ndarray, traj: np.ndarray, sigma: float, seed) -> M
 
 def design_matrix(traj: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Real matrix of basis components Tr(O_k E_a), one row per operator given."""
+    return _operator_table(traj, basis) @ _interleaved(basis).T
+
+
+def _interleaved(ops: np.ndarray) -> np.ndarray:
+    """(d, d) matrices as rows of re/im-interleaved entries (a float view). For
+    Hermitian A and B, Tr(A B) is the dot product of their rows."""
+    ops = np.ascontiguousarray(ops, dtype=complex)
+    return ops.reshape(len(ops), -1).view(np.float64)
+
+
+def _mixed(d: int) -> np.ndarray:
+    """The maximally mixed state I/d as an interleaved row."""
+    return _interleaved(np.eye(d)[None] / d)[0]
+
+
+def _operator_table(traj: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Traceless parts of the operators in ``traj`` as interleaved rows."""
     traj = np.asarray(traj)
     if traj.shape[1:] != basis.shape[1:]:
         raise ValueError(f"trajectory shape {traj.shape[1:]} does not match basis {basis.shape[1:]}")
-    flat_traj = traj.reshape(len(traj), -1)
-    flat_basis_t = basis.transpose(0, 2, 1).reshape(basis.shape[0], -1)
-    return (flat_traj @ flat_basis_t.T).real
+    d = basis.shape[1]
+    traces = np.trace(traj, axis1=1, axis2=2).real
+    return _interleaved(traj - traces[:, None, None] * np.eye(d) / d)
+
+
+def _pseudoinverse(gram: np.ndarray, rcond: float) -> tuple[np.ndarray, int, float]:
+    """Pseudoinverse of a PSD matrix, its rank and its largest eigenvalue.
+
+    Eigenvalues at or below ``rcond`` times the largest are treated as zero;
+    without a positive eigenvalue the result is all zeros with rank 0.
+    """
+    if rcond <= 0:
+        raise ValueError("rcond must be > 0")
+    gram = (gram + gram.T) / 2
+    w, v = np.linalg.eigh(gram)
+    w_max = float(w[-1]) if w.size else 0.0
+    if w_max <= 0:
+        return np.zeros_like(gram), 0, w_max
+    keep = w > rcond * w_max
+    vk = v[:, keep]
+    entries = (vk / w[keep]) @ vk.T
+    return (entries + entries.T) / 2, int(np.count_nonzero(keep)), w_max
 
 
 def covariance(design: np.ndarray, rcond: float = DEFAULT_RCOND) -> CovarianceMatrix:
@@ -135,20 +170,9 @@ def covariance(design: np.ndarray, rcond: float = DEFAULT_RCOND) -> CovarianceMa
     Eigenvalues at or below ``rcond`` times the largest are treated as zero;
     the count of retained eigenvalues is reported as the rank.
     """
-    if rcond <= 0:
-        raise ValueError("rcond must be > 0")
     design = np.asarray(design, dtype=float)
-    normal = design.T @ design
-    normal = (normal + normal.T) / 2
-    w, v = np.linalg.eigh(normal)
-    w_max = w[-1] if w.size else 0.0
-    if w_max <= 0:
-        return CovarianceMatrix(np.zeros_like(normal), 0)
-    keep = w > rcond * w_max
-    vk = v[:, keep]
-    entries = (vk / w[keep]) @ vk.T
-    entries = (entries + entries.T) / 2
-    return CovarianceMatrix(entries, int(np.count_nonzero(keep)))
+    entries, rank, _ = _pseudoinverse(design.T @ design, rcond)
+    return CovarianceMatrix(entries, rank)
 
 
 def ml_estimate(cov: CovarianceMatrix, design: np.ndarray, record: MeasurementRecord) -> np.ndarray:
@@ -175,109 +199,88 @@ def _simplex_project(w: np.ndarray) -> np.ndarray:
     return np.maximum(w + shift, 0.0)
 
 
-class _BasisKernel:
-    """Flattened-basis transforms staged as single real matmuls.
-
-    A complex (d, d) matrix viewed as float64 interleaves re/im pairs, so both
-    Bloch directions become one real gemm against an interleaved basis table.
-    """
-
-    def __init__(self, basis: np.ndarray):
-        self.d = basis.shape[1]
-        n_basis = basis.shape[0]
-        flat = basis.reshape(n_basis, -1)
-        # (n_basis, 2 d^2): columns alternate Re E_a, Im E_a entrywise.
-        table = np.empty((n_basis, 2 * self.d * self.d))
-        table[:, 0::2] = flat.real
-        table[:, 1::2] = flat.imag
-        self.table = table
-        self.table_t = np.ascontiguousarray(table.T)
-        mixed = (np.eye(self.d) / self.d).astype(complex).reshape(-1)
-        self.mixed_interleaved = mixed.view(np.float64)
-
-    def matrices(self, r: np.ndarray) -> np.ndarray:
-        """I/d + sum_a r_a E_a for each row of r."""
-        rho_view = r @ self.table
-        rho_view += self.mixed_interleaved
-        return rho_view.view(complex).reshape(-1, self.d, self.d)
-
-    def components(self, rho: np.ndarray) -> np.ndarray:
-        """Tr(rho E_a) per row; Hermiticity of rho and E_a makes this real."""
-        rho_view = np.ascontiguousarray(rho.reshape(len(rho), -1)).view(np.float64)
-        return rho_view @ self.table_t
-
-
-def _project_feasible(r: np.ndarray, kernel: _BasisKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Closest physical state (Frobenius norm) to I/d + sum r_a E_a, batched."""
-    rho = kernel.matrices(r)
-    rho = (rho + np.conjugate(np.swapaxes(rho, -1, -2))) / 2
-    w, v = np.linalg.eigh(rho)
+def _project_feasible(x: np.ndarray, d: int) -> np.ndarray:
+    """Closest physical state (Frobenius norm) to each interleaved row's matrix."""
+    m = x.view(complex).reshape(-1, d, d)
+    m = (m + np.conjugate(np.swapaxes(m, -1, -2))) / 2
+    w, v = np.linalg.eigh(m)
     w_proj = _simplex_project(w)
-    rho_proj = (v * w_proj[:, None, :]) @ np.conjugate(np.swapaxes(v, -1, -2))
-    r_proj = kernel.components(rho_proj)
-    return r_proj, rho_proj
+    return _interleaved((v * w_proj[:, None, :]) @ np.conjugate(np.swapaxes(v, -1, -2)))
 
 
 def _projected_gradient(
-    a: np.ndarray,
-    r_ml: np.ndarray,
-    kernel: _BasisKernel,
+    table: np.ndarray,
+    x_ml: np.ndarray,
     lam_max: float,
     tol: float,
     max_iter: int,
-    r_start: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize (r - r_ml)^T a (r - r_ml) over physical states, batched over rows.
+    x_start: np.ndarray | None,
+    basis: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize sum_k Tr(O_k (rho - rho_ml))^2 over density matrices, batched.
 
+    ``table`` and ``x_ml`` hold the operators O_k and rho_ml (one or a batch)
+    as interleaved rows; ``lam_max`` is the top eigenvalue of Tr(O_k O_l).
     Projected gradient with fixed step 1/lam_max, Nesterov momentum, and a
     function restart whenever the (feasible) objective rises; the momentum
     cuts the iteration count by roughly the square root of the condition
     number without changing the minimum. A batch row is frozen once its
     relative objective change falls below ``tol`` or it stops moving at float
-    resolution, so stragglers do not keep the whole batch iterating. Raises
-    ProjectionConvergenceError at the iteration cap.
+    resolution, so stragglers do not keep the whole batch iterating. Returns
+    Bloch components in ``basis`` and density matrices, batched like x_ml;
+    raises ProjectionConvergenceError with both at the iteration cap.
     """
-    global _last_iterations
-    r, rho = _project_feasible(r_start if r_start is not None else r_ml, kernel)
+    d = basis.shape[1]
+    single = x_ml.ndim == 1
+    x_ml = np.atleast_2d(x_ml)
+
+    def result(x):
+        r = x @ _interleaved(basis).T
+        rho = x.view(complex).reshape(-1, d, d)
+        return (r[0], rho[0]) if single else (r, rho)
+
+    x = _project_feasible(x_ml if x_start is None else np.atleast_2d(x_start), d)
     if lam_max <= 0:
         # Zero objective everywhere; any feasible point is optimal.
-        return r, rho, np.zeros(len(r))
-    grad = (r - r_ml) @ a
-    obj = np.einsum("bi,bi->b", r - r_ml, grad)
-    move_floor = _MOVE_FLOOR_SCALE * max(1.0, float(np.max(np.abs(r_ml))))
-    # Momentum-point state; the gradient is linear in its argument, so the
-    # gradient at y comes from combining feasible-point gradients, one matmul
-    # per iteration in total.
-    y = r.copy()
-    y_grad = grad.copy()
-    momentum = np.zeros(len(r))
-    active = np.arange(len(r))
-    for iteration in range(max_iter):
-        r_new, rho_new = _project_feasible(y[active] - y_grad[active] / lam_max, kernel)
-        diff = r_new - r_ml[active]
-        grad_new = diff @ a
-        obj_new = np.einsum("bi,bi->b", diff, grad_new)
+        return result(x)
+    resid = (x - x_ml) @ table.T
+    obj = np.einsum("bk,bk->b", resid, resid)
+    # Moves are sqrt(2) times the largest real or imaginary entry change: the
+    # largest off-diagonal Bloch change for generalized Gell-Mann. A Frobenius
+    # norm reads ~sqrt(d^2 - 1) times larger at float wobble and would never
+    # fall below the floor.
+    ml_size = np.sqrt(2) * float(np.max(np.abs(x_ml - _mixed(d))))
+    move_floor = _MOVE_FLOOR_SCALE * max(1.0, ml_size)
+    # Momentum-point state; the residual is affine in its argument, so the
+    # residual at y comes from combining feasible-point residuals, and each
+    # iteration costs one matmul per direction against the table.
+    y = x.copy()
+    y_resid = resid.copy()
+    momentum = np.zeros(len(x))
+    active = np.arange(len(x))
+    for _ in range(max_iter):
+        x_new = _project_feasible(y[active] - (y_resid[active] @ table) / lam_max, d)
+        resid_new = (x_new - x_ml[active]) @ table.T
+        obj_new = np.einsum("bk,bk->b", resid_new, resid_new)
         rose = obj_new > obj[active]
         momentum[active] = np.where(rose, 0.0, momentum[active] + 1.0)
         beta = (momentum[active] / (momentum[active] + 3.0))[:, None]
-        y[active] = r_new + beta * (r_new - r[active])
-        y_grad[active] = grad_new + beta * (grad_new - grad[active])
-        moved = np.max(np.abs(r_new - r[active]), axis=1)
+        y[active] = x_new + beta * (x_new - x[active])
+        y_resid[active] = resid_new + beta * (resid_new - resid[active])
+        moved = np.sqrt(2) * np.max(np.abs(x_new - x[active]), axis=1)
         done = (
             np.abs(obj[active] - obj_new) <= tol * np.maximum(obj_new, 0.0) + _OBJECTIVE_FLOOR
         ) | (moved <= move_floor)
-        r[active], rho[active] = r_new, rho_new
-        grad[active], obj[active] = grad_new, obj_new
+        x[active], resid[active], obj[active] = x_new, resid_new, obj_new
         if done.any():
             active = active[~done]
             if active.size == 0:
-                _last_iterations = iteration + 1
-                return r, rho, obj
-    _last_iterations = max_iter
+                return result(x)
+    r_bar, rho_bar = result(x)
     raise ProjectionConvergenceError(
         f"physicality projection did not converge within {max_iter} iterations",
-        r_bar=r,
-        rho_bar=rho,
+        r_bar=r_bar,
+        rho_bar=rho_bar,
     )
 
 
@@ -299,18 +302,17 @@ def psd_project(
     n_basis = basis.shape[0]
     if r_ml.shape != (n_basis,) or c_inv.shape != (n_basis, n_basis):
         raise ValueError("r_ml / weight matrix shapes do not match the basis")
-    c_inv = (c_inv + c_inv.T) / 2
-    lam_max = float(np.linalg.eigvalsh(c_inv)[-1])
-    start = None if warm_start is None else np.asarray(warm_start, float)[None, :]
-    try:
-        r_bar, rho_bar, _ = _projected_gradient(
-            c_inv, r_ml[None, :], _BasisKernel(basis), lam_max, tol, max_iter, start
-        )
-    except ProjectionConvergenceError as err:
-        raise ProjectionConvergenceError(
-            str(err), r_bar=err.r_bar[0], rho_bar=err.rho_bar[0]
-        ) from None
-    return r_bar[0], rho_bar[0]
+    # c_inv = B^T B with rows sqrt(w) v^T (w > 0); the rows of B, mapped to
+    # operators through the basis, give the operator-space objective.
+    w, v = np.linalg.eigh((c_inv + c_inv.T) / 2)
+    keep = w > 0
+    basis_table = _interleaved(basis)
+    table = (v[:, keep] * np.sqrt(w[keep])).T @ basis_table
+    mixed = _mixed(basis.shape[1])
+    start = None if warm_start is None else mixed + np.asarray(warm_start, float) @ basis_table
+    return _projected_gradient(
+        table, mixed + r_ml @ basis_table, float(w[-1]), tol, max_iter, start, basis
+    )
 
 
 def fidelity(psi0: np.ndarray, rho: np.ndarray) -> float:
@@ -344,10 +346,11 @@ def reconstruct(
         raise ValueError(
             f"trajectory must hold {len(record) + 1} operators (step 0 included), got {len(traj)}"
         )
-    design = design_matrix(traj[1:], basis)
-    cov = covariance(design, rcond)
-    r_ml = ml_estimate(cov, design, record)
-    r_bar, rho_bar = psd_project(r_ml, design.T @ design, basis, tol=tol, max_iter=max_iter)
+    table = _operator_table(traj[1:], basis)
+    pinv, _, lam_max = _pseudoinverse(table @ table.T, rcond)
+    x_ml = _mixed(basis.shape[1]) + (pinv @ record.values) @ table
+    r_bar, rho_bar = _projected_gradient(table, x_ml, lam_max, tol, max_iter, None, basis)
+    r_ml = x_ml @ _interleaved(basis).T
     fid = fidelity(psi0, rho_bar) if psi0 is not None else None
     return TomographyEstimate(r_ml=r_ml, r_bar=r_bar, rho_bar=rho_bar, fidelity=fid)
 
@@ -367,9 +370,11 @@ def fidelity_matrix(
 
     Records are simulated from the true trajectory (rows of ``states`` get
     independent noise streams spawned from ``noise_seed``); estimation uses
-    the experimenter's (ideal) trajectory. Each reconstruction reuses the
-    previous record length's solution as a warm start, which leaves the
-    minimizer unchanged but cuts the iteration count sharply.
+    the experimenter's (ideal) trajectory. Each reconstruction starts from
+    the previous record length's solution, which cuts the iteration count
+    sharply. Below the record length where the minimizer becomes unique the
+    minimizers form a face, and the warm start picks a point on it (which a
+    cold ``reconstruct`` of the same record need not pick).
     """
     psi = np.atleast_2d(np.asarray(states))
     traj_true = np.asarray(traj_true)
@@ -378,7 +383,6 @@ def fidelity_matrix(
         raise ValueError("true and experimenter trajectories must have equal shape")
     n_steps = len(traj_true) - 1
     n_batch = len(psi)
-    n_basis = basis.shape[0]
 
     seed_seq = noise_seed if isinstance(noise_seed, np.random.SeedSequence) else np.random.SeedSequence(noise_seed)
     children = seed_seq.spawn(n_batch)
@@ -389,29 +393,18 @@ def fidelity_matrix(
         ]
     )
 
-    design = design_matrix(traj_ideal[1:], basis)
-    kernel = _BasisKernel(basis)
-    normal = np.zeros((n_basis, n_basis))
-    rhs = np.zeros((n_batch, n_basis))
-    r_warm = np.zeros((n_batch, n_basis))
+    table = _operator_table(traj_ideal[1:], basis)
+    gram = table @ table.T
+    mixed = _mixed(basis.shape[1])
+    x_warm = np.tile(mixed, (n_batch, 1))
     fid = np.empty((n_batch, n_steps))
-    for k in range(n_steps):
-        row = design[k]
-        normal += np.outer(row, row)
-        rhs += records[:, k, None] * row
-        w, v = np.linalg.eigh(normal)
-        w_max = w[-1]
-        if w_max <= 0:
-            r_ml = np.zeros_like(rhs)
-        else:
-            keep = w > rcond * w_max
-            vk = v[:, keep]
-            r_ml = ((rhs @ vk) / w[keep]) @ vk.T
-        r_warm, rho_bar, _ = _projected_gradient(
-            normal, r_ml, kernel, w_max, tol, max_iter, r_warm
-        )
+    for k in range(1, n_steps + 1):
+        pinv, _, lam_max = _pseudoinverse(gram[:k, :k], rcond)
+        x_ml = mixed + (records[:, :k] @ pinv) @ table[:k]
+        _, rho_bar = _projected_gradient(table[:k], x_ml, lam_max, tol, max_iter, x_warm, basis)
+        x_warm = _interleaved(rho_bar)
         overlap = np.einsum("bi,bij,bj->b", psi.conj(), rho_bar, psi).real
-        fid[:, k] = np.clip(overlap, 0.0, 1.0)
+        fid[:, k - 1] = np.clip(overlap, 0.0, 1.0)
     return fid
 
 
@@ -434,10 +427,6 @@ def ensemble_average_fidelity(
         states, traj_true, traj_ideal, basis, sigma, noise_seed,
         rcond=rcond, tol=tol, max_iter=max_iter,
     )
-    mean = fid.mean(axis=0)
-    if fid.shape[0] > 1:
-        stderr = fid.std(axis=0, ddof=1) / np.sqrt(fid.shape[0])
-    else:
-        stderr = np.zeros_like(mean)
+    mean, stderr = mean_and_stderr(fid)
     times = np.arange(1, fid.shape[1] + 1)
     return MetricSeries("fidelity", times, mean, stderr, dict(params or {}))

@@ -294,6 +294,20 @@ class TestReconstructAndFidelity:
         with pytest.raises(ValueError):
             reconstruct(MeasurementRecord(np.zeros(10), 0.0), traj[1:], basis5)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_matches_public_bloch_chain(self, spin5, basis5, sigma):
+        # reconstruct solves in operator space; the public Bloch chain
+        # (covariance -> ml_estimate -> psd_project) must give the same estimate.
+        traj = kicked_trajectory(spin5, n=40)
+        psi = haar_random_state(spin5, 17)
+        rec = simulate_record(pure_state_density(psi), traj, sigma, 4)
+        est = reconstruct(rec, traj, basis5)
+        design = design_matrix(traj[1:], basis5)
+        r_ml = ml_estimate(covariance(design), design, rec)
+        _, rho_bar = psd_project(r_ml, design.T @ design, basis5)
+        np.testing.assert_allclose(est.r_ml, r_ml, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(est.rho_bar, rho_bar, rtol=0, atol=1e-9)
+
 
 class TestEnsemble:
     def test_single_state_matches_matrix_row(self, spin5, basis5):
@@ -325,6 +339,17 @@ class TestEnsemble:
         two = fidelity_matrix(states[:2], traj, traj, basis5, 0.05, 123)
         three = fidelity_matrix(states, traj, traj, basis5, 0.05, 123)
         np.testing.assert_allclose(two, three[:2], atol=1e-9)
+
+    def test_iteration_cap_carries_best_iterates(self, spin5, basis5):
+        traj = kicked_trajectory(spin5, n=10)
+        states = np.stack([haar_random_state(spin5, 70 + i) for i in range(2)])
+        with pytest.raises(ProjectionConvergenceError) as err:
+            fidelity_matrix(states, traj, traj, basis5, 0.05, 3, max_iter=1)
+        assert err.value.r_bar.shape == (2, 24)
+        assert err.value.rho_bar.shape == (2, 5, 5)
+        for rho in err.value.rho_bar:
+            assert np.linalg.eigvalsh(rho)[0] > -1e-9
+            assert abs(np.trace(rho).real - 1) < 1e-10
 
     def test_matched_noiseless_nondecreasing_small(self, spin5, basis5):
         traj = kicked_trajectory(spin5, lam=7.0, n=30)
