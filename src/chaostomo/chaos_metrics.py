@@ -47,25 +47,41 @@ def loschmidt_echo(traj_true: np.ndarray, traj_ideal: np.ndarray) -> MetricSerie
     return MetricSeries("loschmidt", np.arange(len(overlaps)), overlaps)
 
 
+def _eigh_hermitian(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra and eigenvectors of the Hermitian parts of one matrix or a stack."""
+    return np.linalg.eigh((ops + np.conj(np.swapaxes(ops, -1, -2))) / 2)
+
+
+def _regularized_spectrum(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum |w| / sum |w| of each operator, and its eigenvectors."""
+    w, v = _eigh_hermitian(ops)
+    aw = np.abs(w)
+    total = aw.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
+        raise ValueError("cannot regularize the zero operator")
+    return aw / total, v
+
+
 def regularize(obs: np.ndarray) -> np.ndarray:
     """Positive unit-trace operator sharing the observable's eigenvectors.
 
     Takes the absolute value of the spectrum and normalizes its sum; rejects
     the zero operator.
     """
-    obs = np.asarray(obs)
-    w, v = np.linalg.eigh((obs + obs.conj().T) / 2)
-    aw = np.abs(w)
-    total = aw.sum()
-    if total <= 0:
-        raise ValueError("cannot regularize the zero operator")
-    return (v * (aw / total)) @ v.conj().T
+    p, v = _regularized_spectrum(np.asarray(obs))
+    return (v * p) @ v.conj().T
 
 
-def _floored_spectrum(op: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh((op + op.conj().T) / 2)
-    w = np.maximum(w, floor)
-    return w / w.sum(), v
+def _entropy(wa, va, wb, vb, floor: float) -> np.ndarray:
+    """Tr(a log a) - Tr(a log b) from (stacked) spectra and eigenvectors, through
+    the overlaps |<a_i|b_k>|^2, after raising eigenvalues to ``floor`` and renormalizing."""
+    wa = np.maximum(wa, floor)
+    wa = wa / wa.sum(axis=-1, keepdims=True)
+    wb = np.maximum(wb, floor)
+    wb = wb / wb.sum(axis=-1, keepdims=True)
+    overlaps = np.abs(np.conj(np.swapaxes(va, -1, -2)) @ vb) ** 2
+    cross = np.einsum("...i,...ik,...k->...", wa, overlaps, np.log(wb))
+    return np.sum(wa * np.log(wa), axis=-1) - cross
 
 
 def relative_entropy(a: np.ndarray, b: np.ndarray, floor: float = DEFAULT_ENTROPY_FLOOR) -> float:
@@ -75,11 +91,7 @@ def relative_entropy(a: np.ndarray, b: np.ndarray, floor: float = DEFAULT_ENTROP
     renormalized before taking logs, so exact zeros (common after
     regularization of rank-deficient observables) stay finite.
     """
-    wa, va = _floored_spectrum(np.asarray(a), floor)
-    wb, vb = _floored_spectrum(np.asarray(b), floor)
-    a_floored = (va * wa) @ va.conj().T
-    log_b = (vb * np.log(wb)) @ vb.conj().T
-    return float(np.dot(wa, np.log(wa)) - np.einsum("ij,ji->", a_floored, log_b).real)
+    return float(_entropy(*_eigh_hermitian(np.asarray(a)), *_eigh_hermitian(np.asarray(b)), floor))
 
 
 def relative_entropy_series(
@@ -91,10 +103,7 @@ def relative_entropy_series(
     traj_true = np.asarray(traj_true)
     traj_ideal = np.asarray(traj_ideal)
     _check_pair(traj_true, traj_ideal)
-    values = [
-        relative_entropy(regularize(ot), regularize(oi), floor)
-        for ot, oi in zip(traj_true, traj_ideal)
-    ]
+    values = _entropy(*_regularized_spectrum(traj_true), *_regularized_spectrum(traj_ideal), floor)
     return MetricSeries("rel_entropy", np.arange(len(values)), values)
 
 

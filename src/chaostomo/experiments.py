@@ -144,8 +144,9 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         SpinParams(config.j)
     except ValueError as exc:
         raise ConfigError(f"j: {exc}") from None
-    if not np.isfinite(config.alpha):
-        raise ConfigError("alpha: must be finite")
+    for name in ("alpha", "delta_lambda"):
+        if not np.isfinite(getattr(config, name)):
+            raise ConfigError(f"{name}: must be finite")
     if config.n_steps < 1:
         raise ConfigError(f"n_steps: must be >= 1, got {config.n_steps}")
     if config.n_states < 1:
@@ -162,8 +163,8 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"eta_list: entries must lie in [0, 1], got {config.eta_list}")
     if config.noise_sigma is None:
         config = replace(config, noise_sigma=0.01 * config.j)
-    if config.noise_sigma < 0:
-        raise ConfigError(f"noise_sigma: must be >= 0, got {config.noise_sigma}")
+    if not (np.isfinite(config.noise_sigma) and config.noise_sigma >= 0):
+        raise ConfigError(f"noise_sigma: must be finite and >= 0, got {config.noise_sigma}")
     if not config.output_dir:
         raise ConfigError("output_dir: must not be empty")
     return config
@@ -271,72 +272,46 @@ def _ensemble_states(config: ExperimentConfig, spin: SpinParams) -> np.ndarray:
     )
 
 
-def _fidelity_series(
-    config: ExperimentConfig,
-    spin: SpinParams,
-    basis: np.ndarray,
-    states: np.ndarray,
-    lam: float,
-    delta_lambda: float,
-    noise_parent: np.random.SeedSequence,
-    config_hash: str,
-) -> MetricSeries:
-    """One reconstruction-fidelity curve: record from the perturbed map,
-    estimation with the unperturbed one (or swapped when configured)."""
-    pair = floquet_pair(KickedTopParams(lam, config.alpha, delta_lambda, spin))
-    record_map, estimator_map = pair.true_perturbed, pair.ideal
-    if config.perturb_experimenter:
-        record_map, estimator_map = estimator_map, record_map
+def _run_fidelity(config: ExperimentConfig, config_hash: str):
+    """Reconstruction-fidelity curves, one per kick strength (fidelity_sweep)
+    or per kick perturbation at the first kick strength (perturb_sweep).
 
+    The record comes from the perturbed map and estimation uses the
+    unperturbed one (swapped when configured). The ensemble shares one
+    observable with noise stream (3, k), or state i gets observable (0, i)
+    and noise stream (3, k, i) when the observable is resampled.
+    """
+    spin = SpinParams(config.j)
+    basis = hermitian_basis(spin)
+    states = _ensemble_states(config, spin)
+    if config.experiment == "perturb_sweep":
+        lam = config.lambda_list[0]
+        swept = [(lam, dlam, f"fidelity_dlambda{dlam:g}.csv") for dlam in config.delta_lambda_list]
+    else:
+        swept = [(lam, config.delta_lambda, f"fidelity_lambda{lam:g}.csv") for lam in config.lambda_list]
+    # (observable key, noise-key suffix, ensemble rows) per observable group.
     if config.resample_observable:
-        noise_children = noise_parent.spawn(len(states))
-        curves = []
-        for i, (state, child) in enumerate(zip(states, noise_children)):
-            obs = initial_observable(spin, _subseed(config.seed, _KEY_OBSERVABLE, i))
+        groups = [((_KEY_OBSERVABLE, i), (i,), slice(i, i + 1)) for i in range(len(states))]
+    else:
+        groups = [((_KEY_OBSERVABLE,), (), slice(None))]
+    out = []
+    for k, (lam, dlam, filename) in enumerate(swept):
+        pair = floquet_pair(KickedTopParams(lam, config.alpha, dlam, spin))
+        record_map, estimator_map = pair.true_perturbed, pair.ideal
+        if config.perturb_experimenter:
+            record_map, estimator_map = estimator_map, record_map
+        fid = np.empty((len(states), config.n_steps))
+        for obs_key, noise_key, rows in groups:
+            obs = initial_observable(spin, _subseed(config.seed, *obs_key))
             traj_record = operator_trajectory(obs, record_map, config.n_steps)
             traj_est = operator_trajectory(obs, estimator_map, config.n_steps)
-            curves.append(
-                fidelity_matrix(state[None, :], traj_record, traj_est, basis,
-                                config.noise_sigma, child)[0]
+            fid[rows] = fidelity_matrix(
+                states[rows], traj_record, traj_est, basis, config.noise_sigma,
+                _subseed(config.seed, _KEY_NOISE, k, *noise_key),
             )
-        fid = np.stack(curves)
-    else:
-        obs = initial_observable(spin, _subseed(config.seed, _KEY_OBSERVABLE))
-        traj_record = operator_trajectory(obs, record_map, config.n_steps)
-        traj_est = operator_trajectory(obs, estimator_map, config.n_steps)
-        fid = fidelity_matrix(states, traj_record, traj_est, basis, config.noise_sigma, noise_parent)
-
-    mean, stderr = mean_and_stderr(fid)
-    params = _series_params(config, config_hash, **{"lambda": lam}, delta_lambda=delta_lambda)
-    return MetricSeries("fidelity", np.arange(1, fid.shape[1] + 1), mean, stderr, params)
-
-
-def _run_fidelity_sweep(config: ExperimentConfig, config_hash: str):
-    spin = SpinParams(config.j)
-    basis = hermitian_basis(spin)
-    states = _ensemble_states(config, spin)
-    out = []
-    for k, lam in enumerate(config.lambda_list):
-        series = _fidelity_series(
-            config, spin, basis, states, lam, config.delta_lambda,
-            _subseed(config.seed, _KEY_NOISE, k), config_hash,
-        )
-        out.append((series, f"fidelity_lambda{lam:g}.csv"))
-    return out
-
-
-def _run_perturb_sweep(config: ExperimentConfig, config_hash: str):
-    spin = SpinParams(config.j)
-    basis = hermitian_basis(spin)
-    states = _ensemble_states(config, spin)
-    lam = config.lambda_list[0]
-    out = []
-    for k, dlam in enumerate(config.delta_lambda_list):
-        series = _fidelity_series(
-            config, spin, basis, states, lam, dlam,
-            _subseed(config.seed, _KEY_NOISE, k), config_hash,
-        )
-        out.append((series, f"fidelity_dlambda{dlam:g}.csv"))
+        mean, stderr = mean_and_stderr(fid)
+        params = _series_params(config, config_hash, **{"lambda": lam}, delta_lambda=dlam)
+        out.append((MetricSeries("fidelity", np.arange(1, config.n_steps + 1), mean, stderr, params), filename))
     return out
 
 
@@ -385,8 +360,8 @@ def _run_bloch_perturb(config: ExperimentConfig, config_hash: str):
 
 
 _RUNNERS = {
-    "fidelity_sweep": _run_fidelity_sweep,
-    "perturb_sweep": _run_perturb_sweep,
+    "fidelity_sweep": _run_fidelity,
+    "perturb_sweep": _run_fidelity,
     "loschmidt": _run_operator_metric,
     "rel_entropy": _run_operator_metric,
     "otoc": _run_operator_metric,

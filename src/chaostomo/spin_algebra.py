@@ -40,7 +40,7 @@ class SpinParams:
 
     def __post_init__(self):
         two_j = 2 * self.j
-        if self.j <= 0 or abs(two_j - round(two_j)) > 1e-9:
+        if not np.isfinite(self.j) or self.j <= 0 or abs(two_j - round(two_j)) > 1e-9:
             raise ValueError(f"j must be a positive half-integer, got {self.j}")
 
     @property
@@ -106,25 +106,35 @@ def hermitian_basis(p: SpinParams) -> np.ndarray:
     return basis
 
 
+def _interleaved(ops: np.ndarray) -> np.ndarray:
+    """(..., d, d) matrices as rows of re/im-interleaved entries (a float view),
+    shape (..., 2 d^2). For Hermitian B, Re Tr(A B) is the dot product of the
+    rows of A and B."""
+    ops = np.ascontiguousarray(ops, dtype=complex)
+    return ops.reshape(*ops.shape[:-2], -1).view(np.float64)
+
+
 def to_bloch(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Bloch components r_a = Tr(rho E_a) of a Hermitian matrix."""
+    """Bloch components r_a = Tr(rho E_a) of a Hermitian matrix or a stack (..., d, d)."""
     rho = np.asarray(rho)
-    if rho.shape != basis.shape[1:]:
+    if rho.shape[-2:] != basis.shape[1:]:
         raise ValueError(
             f"operator shape {rho.shape} does not match basis dimension {basis.shape[1:]}"
         )
-    return np.einsum("ij,aji->a", rho, basis).real
+    return _interleaved(rho) @ _interleaved(basis).T
 
 
 def from_bloch(r: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Matrix I/d + sum_a r_a E_a for real components r (may be unphysical)."""
+    """Matrix I/d + sum_a r_a E_a for real components r, or a stack (..., d^2 - 1)
+    of them (may be unphysical)."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (basis.shape[0],):
+    if r.ndim == 0 or r.shape[-1] != basis.shape[0]:
         raise ValueError(
             f"component vector length {r.shape} does not match basis size {basis.shape[0]}"
         )
     d = basis.shape[1]
-    return np.eye(d) / d + np.einsum("a,aij->ij", r, basis)
+    ops = (r @ _interleaved(basis)).view(complex).reshape(*r.shape[:-1], d, d)
+    return np.eye(d) / d + ops
 
 
 def pure_state_density(psi: np.ndarray) -> np.ndarray:

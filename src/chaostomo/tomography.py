@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import MetricSeries, mean_and_stderr
-from .spin_algebra import pure_state_density
+from .spin_algebra import _interleaved, from_bloch, pure_state_density, to_bloch
 
 __all__ = [
     "MeasurementRecord",
@@ -111,8 +111,8 @@ def simulate_record(rho0: np.ndarray, traj: np.ndarray, sigma: float, seed) -> M
     traj = np.asarray(traj)
     if rho0.shape != traj.shape[1:]:
         raise ValueError(f"state shape {rho0.shape} does not match trajectory {traj.shape[1:]}")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     expectations = np.einsum("kij,ji->k", traj[1:], rho0).real
     noise = np.random.default_rng(seed).normal(0.0, sigma, size=expectations.size)
     return MeasurementRecord(expectations + noise, sigma)
@@ -120,19 +120,12 @@ def simulate_record(rho0: np.ndarray, traj: np.ndarray, sigma: float, seed) -> M
 
 def design_matrix(traj: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Real matrix of basis components Tr(O_k E_a), one row per operator given."""
-    return _operator_table(traj, basis) @ _interleaved(basis).T
-
-
-def _interleaved(ops: np.ndarray) -> np.ndarray:
-    """(d, d) matrices as rows of re/im-interleaved entries (a float view). For
-    Hermitian A and B, Tr(A B) is the dot product of their rows."""
-    ops = np.ascontiguousarray(ops, dtype=complex)
-    return ops.reshape(len(ops), -1).view(np.float64)
+    return to_bloch(traj, basis)
 
 
 def _mixed(d: int) -> np.ndarray:
     """The maximally mixed state I/d as an interleaved row."""
-    return _interleaved(np.eye(d)[None] / d)[0]
+    return _interleaved(np.eye(d) / d)
 
 
 def _operator_table(traj: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -235,8 +228,8 @@ def _projected_gradient(
     x_ml = np.atleast_2d(x_ml)
 
     def result(x):
-        r = x @ _interleaved(basis).T
         rho = x.view(complex).reshape(-1, d, d)
+        r = to_bloch(rho, basis)
         return (r[0], rho[0]) if single else (r, rho)
 
     x = _project_feasible(x_ml if x_start is None else np.atleast_2d(x_start), d)
@@ -306,12 +299,10 @@ def psd_project(
     # operators through the basis, give the operator-space objective.
     w, v = np.linalg.eigh((c_inv + c_inv.T) / 2)
     keep = w > 0
-    basis_table = _interleaved(basis)
-    table = (v[:, keep] * np.sqrt(w[keep])).T @ basis_table
-    mixed = _mixed(basis.shape[1])
-    start = None if warm_start is None else mixed + np.asarray(warm_start, float) @ basis_table
+    table = (v[:, keep] * np.sqrt(w[keep])).T @ _interleaved(basis)
+    start = None if warm_start is None else _interleaved(from_bloch(warm_start, basis))
     return _projected_gradient(
-        table, mixed + r_ml @ basis_table, float(w[-1]), tol, max_iter, start, basis
+        table, _interleaved(from_bloch(r_ml, basis)), float(w[-1]), tol, max_iter, start, basis
     )
 
 
@@ -350,7 +341,7 @@ def reconstruct(
     pinv, _, lam_max = _pseudoinverse(table @ table.T, rcond)
     x_ml = _mixed(basis.shape[1]) + (pinv @ record.values) @ table
     r_bar, rho_bar = _projected_gradient(table, x_ml, lam_max, tol, max_iter, None, basis)
-    r_ml = x_ml @ _interleaved(basis).T
+    r_ml = to_bloch(x_ml.view(complex).reshape(basis.shape[1:]), basis)
     fid = fidelity(psi0, rho_bar) if psi0 is not None else None
     return TomographyEstimate(r_ml=r_ml, r_bar=r_bar, rho_bar=rho_bar, fidelity=fid)
 
@@ -369,7 +360,8 @@ def fidelity_matrix(
     """Per-state reconstruction fidelity at every record length, shape (n_states, n).
 
     Records are simulated from the true trajectory (rows of ``states`` get
-    independent noise streams spawned from ``noise_seed``); estimation uses
+    independent noise streams: row i's has ``noise_seed``'s spawn key plus
+    (i,), and a SeedSequence passed in is not advanced); estimation uses
     the experimenter's (ideal) trajectory. Each reconstruction starts from
     the previous record length's solution, which cuts the iteration count
     sharply. Below the record length where the minimizer becomes unique the
@@ -384,8 +376,9 @@ def fidelity_matrix(
     n_steps = len(traj_true) - 1
     n_batch = len(psi)
 
-    seed_seq = noise_seed if isinstance(noise_seed, np.random.SeedSequence) else np.random.SeedSequence(noise_seed)
-    children = seed_seq.spawn(n_batch)
+    seq = noise_seed if isinstance(noise_seed, np.random.SeedSequence) else np.random.SeedSequence(noise_seed)
+    children = [np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size)
+                for i in range(n_batch)]
     records = np.stack(
         [
             simulate_record(pure_state_density(s), traj_true, sigma, child).values

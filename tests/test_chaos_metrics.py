@@ -126,6 +126,14 @@ class TestRelativeEntropy:
         assert np.max(np.abs(series.values)) < 1e-9
         assert series.metric_name == "rel_entropy"
 
+    @pytest.mark.parametrize("lam", [0.5, 7.0])
+    def test_series_matches_per_step_loop(self, spin10, lam):
+        # Reference: regularize each operator, then the two-argument entropy.
+        traj_true, traj_ideal, _, _ = trajectories(spin10, lam, 0.01, 40)
+        loop = [relative_entropy(regularize(a), regularize(b)) for a, b in zip(traj_true, traj_ideal)]
+        series = relative_entropy_series(traj_true, traj_ideal)
+        np.testing.assert_allclose(series.values, loop, rtol=0, atol=1e-12)
+
     def test_series_regular_exceeds_chaotic(self, spin10):
         regular = relative_entropy_series(*trajectories(spin10, 0.5, 0.01, 60)[:2])
         chaotic = relative_entropy_series(*trajectories(spin10, 7.0, 0.01, 60)[:2])

@@ -8,13 +8,22 @@ import pytest
 from chaostomo import (
     ConfigError,
     ExperimentConfig,
+    KickedTopParams,
     MetricSeries,
+    SpinParams,
+    fidelity_matrix,
+    floquet_pair,
+    haar_random_state,
+    hermitian_basis,
+    initial_observable,
+    operator_trajectory,
     parse_config,
     read_series,
     run,
     write_series,
 )
 from chaostomo.cli import main
+from chaostomo.series import mean_and_stderr
 
 
 def tiny_config(experiment, out, **kw):
@@ -84,6 +93,10 @@ class TestParseConfig:
             ({"noise_sigma": -0.5}, "noise_sigma"),
             ({"eta_list": (0.5, 1.5)}, "eta_list"),
             ({"seed": -3}, "seed"),
+            ({"noise_sigma": float("nan")}, "noise_sigma"),
+            ({"noise_sigma": float("inf")}, "noise_sigma"),
+            ({"delta_lambda": float("nan")}, "delta_lambda"),
+            ({"j": float("inf")}, "j"),
         ],
     )
     def test_out_of_range_named_in_error(self, overrides, field):
@@ -241,3 +254,61 @@ class TestCli:
         path = tmp_path / "run.cfg"
         path.write_text("j = 1\nn_steps = 5\nn_states = 2\n")
         return path
+
+
+class TestFidelityStreams:
+    """The runner's fidelity CSVs equal a direct computation from the
+    documented spawn keys: states (2, i), shared observable (0,), per-state
+    observable (0, i), noise (3, k) for a shared observable and (3, k, i)
+    for state i's own observable."""
+
+    @staticmethod
+    def _expected(config, lam, dlam, k):
+        spin = SpinParams(config.j)
+        basis = hermitian_basis(spin)
+
+        def key(*parts):
+            return np.random.SeedSequence(config.seed, spawn_key=parts)
+
+        states = np.stack([haar_random_state(spin, key(2, i)) for i in range(config.n_states)])
+        pair = floquet_pair(KickedTopParams(lam, config.alpha, dlam, spin))
+        record_map, estimator_map = pair.true_perturbed, pair.ideal
+        if config.perturb_experimenter:
+            record_map, estimator_map = estimator_map, record_map
+
+        def curves(obs, psi, noise):
+            traj_record = operator_trajectory(obs, record_map, config.n_steps)
+            traj_est = operator_trajectory(obs, estimator_map, config.n_steps)
+            return fidelity_matrix(psi, traj_record, traj_est, basis, config.noise_sigma, noise)
+
+        if config.resample_observable:
+            fid = np.stack([
+                curves(initial_observable(spin, key(0, i)), psi[None], key(3, k, i))[0]
+                for i, psi in enumerate(states)
+            ])
+        else:
+            fid = curves(initial_observable(spin, key(0)), states, key(3, k))
+        return mean_and_stderr(fid)
+
+    @pytest.mark.parametrize(
+        "experiment,extra",
+        [
+            ("fidelity_sweep", {}),
+            ("fidelity_sweep", {"resample_observable": True}),
+            ("fidelity_sweep", {"perturb_experimenter": True}),
+            ("perturb_sweep", {"delta_lambda_list": (0.02, 0.005)}),
+        ],
+    )
+    def test_series_match_documented_streams(self, tmp_path, experiment, extra):
+        config = tiny_config(experiment, tmp_path, noise_sigma=0.02, **extra)
+        manifest = run(config)
+        if experiment == "perturb_sweep":
+            swept = [(config.lambda_list[0], dlam) for dlam in config.delta_lambda_list]
+        else:
+            swept = [(lam, config.delta_lambda) for lam in config.lambda_list]
+        assert len(manifest.series_files) == len(swept)
+        for k, ((lam, dlam), path) in enumerate(zip(swept, manifest.series_files)):
+            _, cols = read_series(path)
+            mean, stderr = self._expected(config, lam, dlam, k)
+            np.testing.assert_array_equal(cols["value"], mean)
+            np.testing.assert_array_equal(cols["stderr"], stderr)

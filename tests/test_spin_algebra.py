@@ -25,7 +25,7 @@ class TestSpinParams:
         assert SpinParams(0.5).d == 2
         assert SpinParams(10).d == 21
 
-    @pytest.mark.parametrize("bad", [0.3, -1, 0, 10.2])
+    @pytest.mark.parametrize("bad", [0.3, -1, 0, 10.2, float("inf")])
     def test_rejects_non_half_integer(self, bad):
         with pytest.raises(ValueError):
             SpinParams(bad)
@@ -100,6 +100,20 @@ class TestBlochMaps:
         basis = hermitian_basis(SpinParams(1))
         with pytest.raises(ValueError):
             to_bloch(np.eye(4) / 4, basis)
+
+    def test_stacks_match_single_calls(self):
+        spin = SpinParams(2.5)
+        basis = hermitian_basis(spin)
+        ops = np.stack([random_hermitian(spin.d, seed) for seed in range(6)]).reshape(2, 3, spin.d, spin.d)
+        r = to_bloch(ops, basis)
+        assert r.shape == (2, 3, spin.d**2 - 1)
+        back = from_bloch(r, basis)
+        assert back.shape == ops.shape
+        # A stack goes through a matrix product and one matrix through a
+        # vector product, so the two may round differently.
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(r[idx], to_bloch(ops[idx], basis), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(back[idx], from_bloch(r[idx], basis), rtol=0, atol=1e-14)
 
 
 class TestHaarSampling:

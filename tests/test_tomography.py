@@ -85,6 +85,11 @@ class TestSimulateRecord:
         with pytest.raises(ValueError):
             simulate_record(np.eye(4) / 4, traj, 0.1, 0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma(self, spin5, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            simulate_record(np.eye(5) / 5, kicked_trajectory(spin5), sigma, 0)
+
 
 class TestDesignMatrix:
     def test_basis_element_row(self, basis5):
@@ -339,6 +344,20 @@ class TestEnsemble:
         two = fidelity_matrix(states[:2], traj, traj, basis5, 0.05, 123)
         three = fidelity_matrix(states, traj, traj, basis5, 0.05, 123)
         np.testing.assert_allclose(two, three[:2], atol=1e-9)
+
+    def test_seed_sequence_not_advanced(self, spin5, basis5):
+        # Noise children come from the sequence without spawning from it, so
+        # the same object gives the same noise on every call, and the same
+        # noise as its integer seed.
+        traj_true = kicked_trajectory(spin5, dlam=0.01, n=12, perturbed=True)
+        traj_ideal = kicked_trajectory(spin5, dlam=0.01, n=12, perturbed=False)
+        states = np.stack([haar_random_state(spin5, 80 + i) for i in range(2)])
+        seq = np.random.SeedSequence(31)
+        first = fidelity_matrix(states, traj_true, traj_ideal, basis5, 0.2, seq)
+        second = fidelity_matrix(states, traj_true, traj_ideal, basis5, 0.2, seq)
+        from_int = fidelity_matrix(states, traj_true, traj_ideal, basis5, 0.2, 31)
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, from_int)
 
     def test_iteration_cap_carries_best_iterates(self, spin5, basis5):
         traj = kicked_trajectory(spin5, n=10)
