@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SpinParams",
@@ -176,16 +175,17 @@ def _require_unitary(u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 def unitary_fractional_power(u: np.ndarray, eta: float) -> np.ndarray:
     """U^eta on the principal branch of each eigenphase.
 
-    Uses a complex Schur decomposition (exactly unitary similarity, robust
-    for normal matrices) and maps each eigenphase theta in (-pi, pi] to
-    eta * theta.
+    Maps each eigenphase theta in (-pi, pi] to eta * theta. A unitary's
+    eigenvectors are orthogonal, so a QR factorization of the eigenvector
+    matrix only removes rounding and picks an orthonormal basis inside each
+    degenerate eigenspace; the result is then exactly a unitary similarity.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     u = _require_unitary(u)
-    t, z = scipy.linalg.schur(u, output="complex")
-    theta = np.angle(np.diagonal(t))
-    return (z * np.exp(1j * eta * theta)) @ z.conj().T
+    w, v = np.linalg.eig(u)
+    q, _ = np.linalg.qr(v)
+    return (q * np.exp(1j * eta * np.angle(w))) @ q.conj().T
 
 
 def spectral_function(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

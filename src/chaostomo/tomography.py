@@ -37,12 +37,12 @@ __all__ = [
 ]
 
 DEFAULT_RCOND = 1e-10
-DEFAULT_PROJECTION_TOL = 1e-8
-DEFAULT_PROJECTION_MAX_ITER = 10_000
-# Prefix sweeps re-solve 200 closely related problems; the few steps that land
-# in a thin valley of the constrained landscape need a larger budget than the
-# single-shot default.
-DEFAULT_SWEEP_MAX_ITER = 50_000
+# Relative objective change below which a projection row counts as converged.
+_PROJECTION_TOL = 1e-8
+# Iteration cap of the physicality projection. Prefix sweeps re-solve 200
+# closely related problems, and the few steps that land in a thin valley of
+# the constrained landscape need this budget; typical solves take hundreds.
+DEFAULT_MAX_ITER = 50_000
 
 _OBJECTIVE_FLOOR = 1e-30
 
@@ -205,7 +205,6 @@ def _projected_gradient(
     table: np.ndarray,
     x_ml: np.ndarray,
     lam_max: float,
-    tol: float,
     max_iter: int,
     x_start: np.ndarray | None,
     basis: np.ndarray,
@@ -218,8 +217,9 @@ def _projected_gradient(
     function restart whenever the (feasible) objective rises; the momentum
     cuts the iteration count by roughly the square root of the condition
     number without changing the minimum. A batch row is frozen once its
-    relative objective change falls below ``tol`` or it stops moving at float
-    resolution, so stragglers do not keep the whole batch iterating. Returns
+    relative objective change falls below ``_PROJECTION_TOL`` or it stops
+    moving at float resolution, so stragglers do not keep the whole batch
+    iterating. Returns
     Bloch components in ``basis`` and density matrices, batched like x_ml;
     raises ProjectionConvergenceError with both at the iteration cap.
     """
@@ -262,7 +262,8 @@ def _projected_gradient(
         y_resid[active] = resid_new + beta * (resid_new - resid[active])
         moved = np.sqrt(2) * np.max(np.abs(x_new - x[active]), axis=1)
         done = (
-            np.abs(obj[active] - obj_new) <= tol * np.maximum(obj_new, 0.0) + _OBJECTIVE_FLOOR
+            np.abs(obj[active] - obj_new)
+            <= _PROJECTION_TOL * np.maximum(obj_new, 0.0) + _OBJECTIVE_FLOOR
         ) | (moved <= move_floor)
         x[active], resid[active], obj[active] = x_new, resid_new, obj_new
         if done.any():
@@ -281,9 +282,7 @@ def psd_project(
     r_ml: np.ndarray,
     c_inv: np.ndarray,
     basis: np.ndarray,
-    tol: float = DEFAULT_PROJECTION_TOL,
-    max_iter: int = DEFAULT_PROJECTION_MAX_ITER,
-    warm_start: np.ndarray | None = None,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closest physical Bloch vector to r_ml in the metric of c_inv = design^T design.
 
@@ -300,9 +299,8 @@ def psd_project(
     w, v = np.linalg.eigh((c_inv + c_inv.T) / 2)
     keep = w > 0
     table = (v[:, keep] * np.sqrt(w[keep])).T @ _interleaved(basis)
-    start = None if warm_start is None else _interleaved(from_bloch(warm_start, basis))
     return _projected_gradient(
-        table, _interleaved(from_bloch(r_ml, basis)), float(w[-1]), tol, max_iter, start, basis
+        table, _interleaved(from_bloch(r_ml, basis)), float(w[-1]), max_iter, None, basis
     )
 
 
@@ -320,10 +318,7 @@ def reconstruct(
     record: MeasurementRecord,
     experimenter_traj: np.ndarray,
     basis: np.ndarray,
-    rcond: float = DEFAULT_RCOND,
-    tol: float = DEFAULT_PROJECTION_TOL,
     psi0: np.ndarray | None = None,
-    max_iter: int = DEFAULT_PROJECTION_MAX_ITER,
 ) -> TomographyEstimate:
     """Full estimation pipeline using the experimenter's operator trajectory.
 
@@ -338,9 +333,9 @@ def reconstruct(
             f"trajectory must hold {len(record) + 1} operators (step 0 included), got {len(traj)}"
         )
     table = _operator_table(traj[1:], basis)
-    pinv, _, lam_max = _pseudoinverse(table @ table.T, rcond)
+    pinv, _, lam_max = _pseudoinverse(table @ table.T, DEFAULT_RCOND)
     x_ml = _mixed(basis.shape[1]) + (pinv @ record.values) @ table
-    r_bar, rho_bar = _projected_gradient(table, x_ml, lam_max, tol, max_iter, None, basis)
+    r_bar, rho_bar = _projected_gradient(table, x_ml, lam_max, DEFAULT_MAX_ITER, None, basis)
     r_ml = to_bloch(x_ml.view(complex).reshape(basis.shape[1:]), basis)
     fid = fidelity(psi0, rho_bar) if psi0 is not None else None
     return TomographyEstimate(r_ml=r_ml, r_bar=r_bar, rho_bar=rho_bar, fidelity=fid)
@@ -353,9 +348,7 @@ def fidelity_matrix(
     basis: np.ndarray,
     sigma: float,
     noise_seed,
-    rcond: float = DEFAULT_RCOND,
-    tol: float = DEFAULT_PROJECTION_TOL,
-    max_iter: int = DEFAULT_SWEEP_MAX_ITER,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> np.ndarray:
     """Per-state reconstruction fidelity at every record length, shape (n_states, n).
 
@@ -392,9 +385,9 @@ def fidelity_matrix(
     x_warm = np.tile(mixed, (n_batch, 1))
     fid = np.empty((n_batch, n_steps))
     for k in range(1, n_steps + 1):
-        pinv, _, lam_max = _pseudoinverse(gram[:k, :k], rcond)
+        pinv, _, lam_max = _pseudoinverse(gram[:k, :k], DEFAULT_RCOND)
         x_ml = mixed + (records[:, :k] @ pinv) @ table[:k]
-        _, rho_bar = _projected_gradient(table[:k], x_ml, lam_max, tol, max_iter, x_warm, basis)
+        _, rho_bar = _projected_gradient(table[:k], x_ml, lam_max, max_iter, x_warm, basis)
         x_warm = _interleaved(rho_bar)
         overlap = np.einsum("bi,bij,bj->b", psi.conj(), rho_bar, psi).real
         fid[:, k - 1] = np.clip(overlap, 0.0, 1.0)
@@ -408,18 +401,11 @@ def ensemble_average_fidelity(
     basis: np.ndarray,
     sigma: float,
     noise_seed,
-    rcond: float = DEFAULT_RCOND,
-    tol: float = DEFAULT_PROJECTION_TOL,
-    max_iter: int = DEFAULT_SWEEP_MAX_ITER,
-    params: dict | None = None,
 ) -> MetricSeries:
     """Mean reconstruction fidelity over a state ensemble, with standard error."""
     if len(states) == 0:
         raise ValueError("need at least one state")
-    fid = fidelity_matrix(
-        states, traj_true, traj_ideal, basis, sigma, noise_seed,
-        rcond=rcond, tol=tol, max_iter=max_iter,
-    )
+    fid = fidelity_matrix(states, traj_true, traj_ideal, basis, sigma, noise_seed)
     mean, stderr = mean_and_stderr(fid)
     times = np.arange(1, fid.shape[1] + 1)
-    return MetricSeries("fidelity", times, mean, stderr, dict(params or {}))
+    return MetricSeries("fidelity", times, mean, stderr)

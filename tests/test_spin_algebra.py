@@ -1,5 +1,10 @@
 """Tests for spin matrices, the operator basis, Bloch maps, and Haar sampling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,6 +187,44 @@ class TestUnitaryFractionalPower:
         u = haar_random_unitary(SpinParams(1), 0)
         with pytest.raises(ValueError):
             unitary_fractional_power(u, 1.5)
+
+    @pytest.mark.parametrize("spectrum", ["distinct", "repeated", "cluster"])
+    def test_matches_known_eigendecomposition(self, spectrum):
+        # U = Q diag(e^{i theta}) Q^dag in a Haar-random basis, so degenerate
+        # eigenspaces are not aligned with the coordinate axes. Phases stay
+        # away from the branch cut at -pi / pi, where eta * theta jumps.
+        spin = SpinParams(10)
+        q = haar_random_unitary(spin, 41)
+        rng = np.random.default_rng(7)
+        theta = rng.uniform(-0.95 * np.pi, 0.95 * np.pi, spin.d)
+        if spectrum == "repeated":
+            theta[:7] = theta[0]
+        elif spectrum == "cluster":
+            theta[:6] = theta[0] + rng.uniform(0.0, 1e-9, 6)
+        u = (q * np.exp(1j * theta)) @ q.conj().T
+        for eta in (0.0, 0.1, 0.5, 1.0):
+            out = unitary_fractional_power(u, eta)
+            expected = (q * np.exp(1j * eta * theta)) @ q.conj().T
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+            assert np.max(np.abs(out.conj().T @ out - np.eye(spin.d))) < 1e-13
+
+    def test_package_runs_without_scipy(self):
+        # numpy is the only runtime dependency: blocking scipy must not stop
+        # the import or the one fractional-power caller.
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import chaostomo as ct\n"
+            "spin = ct.SpinParams(1)\n"
+            "basis = ct.hermitian_basis(spin)\n"
+            "out = ct.perturbed_basis(basis, ct.haar_random_unitary(spin, 0), 0.3)\n"
+            "assert out.shape == basis.shape\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestSpectralFunction:
