@@ -275,6 +275,17 @@ class TestReconstructAndFidelity:
         np.testing.assert_allclose(est.rho_bar, np.eye(5) / 5, atol=1e-10)
         assert est.fidelity is None
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-20])
+    def test_vanishing_record_at_full_scale(self, scale):
+        # rho_ml is (almost) I/d, so the fitted-record energy is (almost) 0
+        # while the objective wobbles at rounding level; the stop must still
+        # fire instead of running into the iteration cap.
+        spin = SpinParams(10)
+        traj = kicked_trajectory(spin, lam=7.0, n=60, obs_seed=0)
+        values = scale * np.random.default_rng(0).normal(size=60)
+        est = reconstruct(MeasurementRecord(values, 0.0), traj, hermitian_basis(spin))
+        np.testing.assert_allclose(est.rho_bar, np.eye(21) / 21, atol=1e-10)
+
     def test_data_consistency_matched_noiseless(self, spin5, basis5):
         # n >= d^2 so the measured span has saturated.
         traj = kicked_trajectory(spin5, n=30)
@@ -375,3 +386,30 @@ class TestEnsemble:
         states = np.stack([haar_random_state(spin5, 60 + i) for i in range(2)])
         matrix = fidelity_matrix(states, traj, traj, basis5, 0.0, 5)
         assert np.all(np.diff(matrix, axis=1) > -1e-6)
+
+    def test_exactly_fitted_rows_stop_early(self):
+        # At k << d^2 - 1 the fit is exact and the optimum objective is 0, so
+        # a relative-change stop cannot fire; without the certified floor one
+        # step of this d = 21 sweep needs 369 iterations.
+        spin = SpinParams(10)
+        pair = floquet_pair(KickedTopParams(7.0, 1.4, 0.01, spin))
+        obs = initial_observable(spin, 1)
+        traj_true = operator_trajectory(obs, pair.true_perturbed, 24)
+        traj_ideal = operator_trajectory(obs, pair.ideal, 24)
+        states = np.stack([haar_random_state(spin, 510 + i) for i in range(2)])
+        matrix = fidelity_matrix(
+            states, traj_true, traj_ideal, hermitian_basis(spin), 0.1, 1, max_iter=100
+        )
+        assert matrix.shape == (2, 24)
+
+    def test_matched_noiseless_reaches_state(self, spin5, basis5):
+        # The floor _FIT_TOL must stay tight enough that a complete noiseless
+        # record recovers the state and the curve does not dip.
+        pair = floquet_pair(KickedTopParams(7.0, 1.4, 0.0, spin5))
+        obs = initial_observable(spin5, 0)
+        traj_true = operator_trajectory(obs, pair.true_perturbed, 40)
+        traj_ideal = operator_trajectory(obs, pair.ideal, 40)
+        states = np.stack([haar_random_state(spin5, 100 + i) for i in range(3)])
+        matrix = fidelity_matrix(states, traj_true, traj_ideal, basis5, 0.0, 1)
+        assert matrix[:, -1].min() >= 1 - 1e-6
+        assert np.diff(matrix, axis=1).min() >= -1e-6
