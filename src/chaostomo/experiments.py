@@ -272,14 +272,24 @@ def _ensemble_states(config: ExperimentConfig, spin: SpinParams) -> np.ndarray:
     )
 
 
+# A resampled-observable ensemble is reconstructed in blocks of this many
+# states, which bounds the memory of a run: at d = 21 and 200 steps one state
+# holds about 6 MB in a batched call (see fidelity_matrix).
+_STATE_BLOCK = 16
+
+
 def _run_fidelity(config: ExperimentConfig, config_hash: str):
     """Reconstruction-fidelity curves, one per kick strength (fidelity_sweep)
     or per kick perturbation at the first kick strength (perturb_sweep).
 
     The record comes from the perturbed map and estimation uses the
     unperturbed one (swapped when configured). The ensemble shares one
-    observable with noise stream (3, k), or state i gets observable (0, i)
-    and noise stream (3, k, i) when the observable is resampled.
+    observable with noise stream (3, k): one ``fidelity_matrix`` call per
+    swept value, trajectories of shape (n + 1, d, d). When the observable is
+    resampled, state i gets observable (0, i) and noise stream (3, k, i, 0),
+    and the states go to ``fidelity_matrix`` in blocks of ``_STATE_BLOCK``
+    with trajectories of shape (n + 1, block, d, d), so a run holds about
+    100 MB for them at d = 21 and 200 steps whatever the ensemble size.
     """
     spin = SpinParams(config.j)
     basis = hermitian_basis(spin)
@@ -289,30 +299,40 @@ def _run_fidelity(config: ExperimentConfig, config_hash: str):
         swept = [(lam, dlam, f"fidelity_dlambda{dlam:g}.csv") for dlam in config.delta_lambda_list]
     else:
         swept = [(lam, config.delta_lambda, f"fidelity_lambda{lam:g}.csv") for lam in config.lambda_list]
-    # (observable key, noise-key suffix, ensemble rows) per observable group.
-    if config.resample_observable:
-        groups = [((_KEY_OBSERVABLE, i), (i,), slice(i, i + 1)) for i in range(len(states))]
-    else:
-        groups = [((_KEY_OBSERVABLE,), (), slice(None))]
+    n = len(states)
+    blocks = [range(start, min(start + _STATE_BLOCK, n)) for start in range(0, n, _STATE_BLOCK)]
     out = []
     for k, (lam, dlam, filename) in enumerate(swept):
         pair = floquet_pair(KickedTopParams(lam, config.alpha, dlam, spin))
-        record_map, estimator_map = pair.true_perturbed, pair.ideal
+        maps = (pair.true_perturbed, pair.ideal)
         if config.perturb_experimenter:
-            record_map, estimator_map = estimator_map, record_map
-        fid = np.empty((len(states), config.n_steps))
-        for obs_key, noise_key, rows in groups:
-            obs = initial_observable(spin, _subseed(config.seed, *obs_key))
-            traj_record = operator_trajectory(obs, record_map, config.n_steps)
-            traj_est = operator_trajectory(obs, estimator_map, config.n_steps)
-            fid[rows] = fidelity_matrix(
-                states[rows], traj_record, traj_est, basis, config.noise_sigma,
-                _subseed(config.seed, _KEY_NOISE, k, *noise_key),
+            maps = maps[::-1]
+        if config.resample_observable:
+            fid = np.concatenate(
+                [_resampled_fidelity(config, spin, basis, states, rows, maps, k) for rows in blocks]
+            )
+        else:
+            obs = initial_observable(spin, _subseed(config.seed, _KEY_OBSERVABLE))
+            trajs = [operator_trajectory(obs, u, config.n_steps) for u in maps]
+            fid = fidelity_matrix(
+                states, *trajs, basis, config.noise_sigma, _subseed(config.seed, _KEY_NOISE, k)
             )
         mean, stderr = mean_and_stderr(fid)
         params = _series_params(config, config_hash, **{"lambda": lam}, delta_lambda=dlam)
         out.append((MetricSeries("fidelity", np.arange(1, config.n_steps + 1), mean, stderr, params), filename))
     return out
+
+
+def _resampled_fidelity(config, spin, basis, states, rows, maps, k) -> np.ndarray:
+    """Fidelity rows of the states in ``rows``, each measured through its own
+    observable, for the (record, estimator) maps of swept value k."""
+    trajs = np.empty((len(maps), config.n_steps + 1, len(rows), spin.d, spin.d), dtype=complex)
+    for col, i in enumerate(rows):
+        obs = initial_observable(spin, _subseed(config.seed, _KEY_OBSERVABLE, i))
+        for traj, u in zip(trajs, maps):
+            traj[:, col] = operator_trajectory(obs, u, config.n_steps)
+    noise = [_subseed(config.seed, _KEY_NOISE, k, i, 0) for i in rows]
+    return fidelity_matrix(states[rows.start : rows.stop], *trajs, basis, config.noise_sigma, noise)
 
 
 def _run_operator_metric(config: ExperimentConfig, config_hash: str):

@@ -129,13 +129,13 @@ def _mixed(d: int) -> np.ndarray:
 
 
 def _operator_table(traj: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Traceless parts of the operators in ``traj`` as interleaved rows."""
+    """Traceless parts of the operators in ``traj`` (..., d, d) as interleaved rows."""
     traj = np.asarray(traj)
-    if traj.shape[1:] != basis.shape[1:]:
-        raise ValueError(f"trajectory shape {traj.shape[1:]} does not match basis {basis.shape[1:]}")
+    if traj.shape[-2:] != basis.shape[1:]:
+        raise ValueError(f"trajectory shape {traj.shape[-2:]} does not match basis {basis.shape[1:]}")
     d = basis.shape[1]
-    traces = np.trace(traj, axis1=1, axis2=2).real
-    return _interleaved(traj - traces[:, None, None] * np.eye(d) / d)
+    traces = np.trace(traj, axis1=-2, axis2=-1).real
+    return _interleaved(traj - traces[..., None, None] * np.eye(d) / d)
 
 
 def _pseudoinverse(gram: np.ndarray, rcond: float) -> tuple[np.ndarray, int, float]:
@@ -181,15 +181,15 @@ def ml_estimate(cov: CovarianceMatrix, design: np.ndarray, record: MeasurementRe
 
 
 def _simplex_project(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of spectra onto the probability simplex (batched)."""
-    u = np.sort(w, axis=-1)[..., ::-1]
+    """Euclidean projection of spectra onto the probability simplex, one per row.
+
+    Each row of ``w`` (r, d) must be sorted ascending, as ``eigh`` returns it.
+    """
+    u = w[:, ::-1]
     css = np.cumsum(u, axis=-1)
-    counts = np.arange(1, w.shape[-1] + 1)
-    positive = u + (1.0 - css) / counts > 0
-    last = w.shape[-1] - 1 - np.argmax(positive[..., ::-1], axis=-1)
-    css_last = np.take_along_axis(css, last[..., None], axis=-1)
-    shift = (1.0 - css_last) / (last + 1)[..., None]
-    return np.maximum(w + shift, 0.0)
+    shifts = (1.0 - css) / np.arange(1, w.shape[-1] + 1)
+    last = w.shape[-1] - 1 - np.argmax((u + shifts > 0)[:, ::-1], axis=-1)
+    return np.maximum(w + shifts[np.arange(len(w)), last][:, None], 0.0)
 
 
 def _project_feasible(x: np.ndarray, d: int) -> np.ndarray:
@@ -201,80 +201,105 @@ def _project_feasible(x: np.ndarray, d: int) -> np.ndarray:
     return _interleaved((v * w_proj[:, None, :]) @ np.conjugate(np.swapaxes(v, -1, -2)))
 
 
+def _physical(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch components in ``basis`` and density matrices of interleaved rows,
+    batched like ``x``."""
+    rho = np.atleast_2d(x).view(complex).reshape(-1, *basis.shape[1:])
+    r = to_bloch(rho, basis)
+    return (r[0], rho[0]) if x.ndim == 1 else (r, rho)
+
+
+def _per_table(rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Product of rows (r, m) with their tables (g, m, p), in g equal groups of
+    consecutive rows: shape (r, p)."""
+    return (rows.reshape(len(tables), -1, rows.shape[-1]) @ tables).reshape(len(rows), -1)
+
+
 def _projected_gradient(
-    table: np.ndarray,
+    tables: np.ndarray,
     x_ml: np.ndarray,
-    lam_max: float,
+    lam_max: float | np.ndarray,
     max_iter: int,
     x_start: np.ndarray | None,
     basis: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize sum_k Tr(O_k (rho - rho_ml))^2 over density matrices, batched.
+) -> np.ndarray:
+    """Minimize sum_k Tr(O_k (rho - rho_ml))^2 over density matrices, row by row.
 
-    ``table`` and ``x_ml`` hold the operators O_k and rho_ml (one or a batch)
-    as interleaved rows; ``lam_max`` is the top eigenvalue of Tr(O_k O_l).
+    ``x_ml`` holds rho_ml as one interleaved row or a batch (b, 2d^2);
+    ``tables`` (g, k, 2d^2) the operators O_k as interleaved rows, one table
+    shared by every row (g = 1) or one per row (g = b); ``lam_max`` (g,) the
+    top eigenvalue of each table's Gram matrix Tr(O_k O_l).
     Projected gradient with fixed step 1/lam_max, Nesterov momentum, and a
     function restart whenever the (feasible) objective rises; the momentum
     cuts the iteration count by roughly the square root of the condition
-    number without changing the minimum. A batch row is frozen once its
-    relative objective change falls below ``_PROJECTION_TOL`` (a stall) or
-    its objective falls to ``_FIT_TOL`` times its fitted-record energy
+    number without changing the minimum. A row stops once its relative
+    objective change falls below ``_PROJECTION_TOL`` (a stall) or its
+    objective falls to ``_FIT_TOL`` times its fitted-record energy
     sum_k Tr(O_k rho_ml)^2 plus rounding. The optimum is >= 0, so the
     objective bounds the suboptimality and the second rule certifies exactly
-    fitted rows, which a stall cannot end. Frozen rows let stragglers iterate
-    alone. Returns
-    Bloch components in ``basis`` and density matrices, batched like x_ml;
-    raises ProjectionConvergenceError with both at the iteration cap.
+    fitted rows, which a stall cannot end. The working arrays hold only the
+    rows still iterating, so stragglers iterate alone; with one table per
+    row, each row's arithmetic is that of a one-row call. Returns the
+    solutions as interleaved rows, batched like x_ml; raises
+    ProjectionConvergenceError with their Bloch components and density
+    matrices at the iteration cap.
     """
     d = basis.shape[1]
     single = x_ml.ndim == 1
     x_ml = np.atleast_2d(x_ml)
+    x_out = _project_feasible(x_ml if x_start is None else np.atleast_2d(x_start), d)
 
-    def result(x):
-        rho = x.view(complex).reshape(-1, d, d)
-        r = to_bloch(rho, basis)
-        return (r[0], rho[0]) if single else (r, rho)
+    def solutions():
+        return x_out[0] if single else x_out
 
-    x = _project_feasible(x_ml if x_start is None else np.atleast_2d(x_start), d)
-    if lam_max <= 0:
-        # Zero objective everywhere; any feasible point is optimal.
-        return result(x)
-    resid = (x - x_ml) @ table.T
+    per_row = len(tables) > 1
+    lam = np.repeat(lam_max, len(x_ml) // len(tables))
+    rows = np.flatnonzero(lam > 0)
+    if rows.size == 0:
+        # A zero Gram matrix makes the objective zero: any feasible point is optimal.
+        return solutions()
+    # Per-row tables are copied once, so the caller's stay intact, and then
+    # compacted in place.
+    tables = tables[rows] if per_row else tables
+    x, x_ml, lam = x_out[rows], x_ml[rows], lam[rows]
+    resid = _per_table(x - x_ml, tables.swapaxes(-1, -2))
     obj = np.einsum("bk,bk->b", resid, resid)
-    fit = (x_ml - _mixed(d)) @ table.T
+    fit = _per_table(x_ml - _mixed(d), tables.swapaxes(-1, -2))
     energy = np.einsum("bk,bk->b", fit, fit)
     # Plus the objective's rounding level, lam_max (d eps)^2: with rho_ml at
     # I/d (an all-zero record) the energy is 0 while the objective wobbles.
-    obj_floor = _FIT_TOL * energy + lam_max * (d * np.finfo(float).eps) ** 2
+    obj_floor = _FIT_TOL * energy + lam * (d * np.finfo(float).eps) ** 2
     # Momentum-point state; the residual is affine in its argument, so the
     # residual at y comes from combining feasible-point residuals, and each
     # iteration costs one matmul per direction against the table.
-    y = x.copy()
-    y_resid = resid.copy()
+    y, y_resid = x, resid
     momentum = np.zeros(len(x))
-    active = np.arange(len(x))
     for _ in range(max_iter):
-        x_new = _project_feasible(y[active] - (y_resid[active] @ table) / lam_max, d)
-        resid_new = (x_new - x_ml[active]) @ table.T
+        x_new = _project_feasible(y - _per_table(y_resid, tables) / lam[:, None], d)
+        resid_new = _per_table(x_new - x_ml, tables.swapaxes(-1, -2))
         obj_new = np.einsum("bk,bk->b", resid_new, resid_new)
-        rose = obj_new > obj[active]
-        momentum[active] = np.where(rose, 0.0, momentum[active] + 1.0)
-        beta = (momentum[active] / (momentum[active] + 3.0))[:, None]
-        y[active] = x_new + beta * (x_new - x[active])
-        y_resid[active] = resid_new + beta * (resid_new - resid[active])
-        done = (np.abs(obj[active] - obj_new) <= _PROJECTION_TOL * obj_new) | (
-            obj_new <= obj_floor[active]
-        )
-        x[active], resid[active], obj[active] = x_new, resid_new, obj_new
+        momentum = np.where(obj_new > obj, 0.0, momentum + 1.0)
+        beta = (momentum / (momentum + 3.0))[:, None]
+        y = x_new + beta * (x_new - x)
+        y_resid = resid_new + beta * (resid_new - resid)
+        done = (np.abs(obj - obj_new) <= _PROJECTION_TOL * obj_new) | (obj_new <= obj_floor)
+        x, resid, obj = x_new, resid_new, obj_new
         if done.any():
-            active = active[~done]
-            if active.size == 0:
-                return result(x)
-    r_bar, rho_bar = result(x)
+            x_out[rows[done]] = x[done]
+            keep = ~done
+            if not keep.any():
+                return solutions()
+            rows, x, resid, obj, y, y_resid, momentum, x_ml, lam, obj_floor = (
+                a[keep] for a in (rows, x, resid, obj, y, y_resid, momentum, x_ml, lam, obj_floor)
+            )
+            if per_row:
+                for dst, src in enumerate(np.flatnonzero(keep)):
+                    tables[dst] = tables[src]
+                tables = tables[: len(rows)]
+    x_out[rows] = x
     raise ProjectionConvergenceError(
         f"physicality projection did not converge within {max_iter} iterations",
-        r_bar=r_bar,
-        rho_bar=rho_bar,
+        *_physical(solutions(), basis),
     )
 
 
@@ -299,9 +324,10 @@ def psd_project(
     w, v = np.linalg.eigh((c_inv + c_inv.T) / 2)
     keep = w > 0
     table = (v[:, keep] * np.sqrt(w[keep])).T @ _interleaved(basis)
-    return _projected_gradient(
-        table, _interleaved(from_bloch(r_ml, basis)), float(w[-1]), max_iter, None, basis
+    x = _projected_gradient(
+        table[None], _interleaved(from_bloch(r_ml, basis)), float(w[-1]), max_iter, None, basis
     )
+    return _physical(x, basis)
 
 
 def fidelity(psi0: np.ndarray, rho: np.ndarray) -> float:
@@ -335,7 +361,8 @@ def reconstruct(
     table = _operator_table(traj[1:], basis)
     pinv, _, lam_max = _pseudoinverse(table @ table.T, DEFAULT_RCOND)
     x_ml = _mixed(basis.shape[1]) + (pinv @ record.values) @ table
-    r_bar, rho_bar = _projected_gradient(table, x_ml, lam_max, DEFAULT_MAX_ITER, None, basis)
+    x = _projected_gradient(table[None], x_ml, lam_max, DEFAULT_MAX_ITER, None, basis)
+    r_bar, rho_bar = _physical(x, basis)
     r_ml = to_bloch(x_ml.view(complex).reshape(basis.shape[1:]), basis)
     fid = fidelity(psi0, rho_bar) if psi0 is not None else None
     return TomographyEstimate(r_ml=r_ml, r_bar=r_bar, rho_bar=rho_bar, fidelity=fid)
@@ -352,44 +379,72 @@ def fidelity_matrix(
 ) -> np.ndarray:
     """Per-state reconstruction fidelity at every record length, shape (n_states, n).
 
-    Records are simulated from the true trajectory (rows of ``states`` get
-    independent noise streams: row i's has ``noise_seed``'s spawn key plus
-    (i,), and a SeedSequence passed in is not advanced); estimation uses
-    the experimenter's (ideal) trajectory. Each reconstruction starts from
-    the previous record length's solution, which cuts the iteration count
-    sharply. Below the record length where the minimizer becomes unique the
-    minimizers form a face, and the warm start picks a point on it (which a
-    cold ``reconstruct`` of the same record need not pick).
+    The trajectories hold the operators of steps 0..n: shape (n + 1, d, d)
+    for one observable shared by all states, or (n + 1, n_states, d, d) for
+    one observable per state (column i is state i's trajectory). Records are
+    simulated from the true trajectory; estimation uses the experimenter's
+    (ideal) one. Row i's noise stream has ``noise_seed``'s spawn key plus
+    (i,), and a SeedSequence passed in is not advanced; a list of
+    SeedSequences, one per state, gives the rows' streams themselves. Each
+    reconstruction starts from the previous record length's solution, which
+    cuts the iteration count sharply. Below the record length where the
+    minimizer becomes unique the minimizers form a face, and the warm start
+    picks a point on it (which a cold ``reconstruct`` of the same record
+    need not pick).
+
+    All rows share one projection loop. With per-state trajectories every
+    row has its own operator table, Gram pseudoinverse and step, and its
+    fidelities equal those of a one-row call bit for bit. Such a call holds
+    about 6 MB per state at d = 21 and 200 steps (the two trajectories
+    2.8 MB, the operator table and the projection's working copy of it
+    2.8 MB, the Gram matrix 0.3 MB), so large ensembles go in blocks of
+    states.
     """
     psi = np.atleast_2d(np.asarray(states))
     traj_true = np.asarray(traj_true)
     traj_ideal = np.asarray(traj_ideal)
+    if psi.size == 0:
+        raise ValueError("need at least one state")
     if traj_true.shape != traj_ideal.shape:
         raise ValueError("true and experimenter trajectories must have equal shape")
+    if len(traj_true) < 2:
+        raise ValueError("trajectories must hold step 0 and at least one measured step")
     n_steps = len(traj_true) - 1
     n_batch = len(psi)
+    per_state = traj_true.ndim == 4
+    if per_state and traj_true.shape[1] != n_batch:
+        raise ValueError(f"per-state trajectories hold {traj_true.shape[1]} states, got {n_batch} states")
 
-    seq = noise_seed if isinstance(noise_seed, np.random.SeedSequence) else np.random.SeedSequence(noise_seed)
-    children = [np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size)
-                for i in range(n_batch)]
+    if isinstance(noise_seed, (list, tuple)) and all(isinstance(s, np.random.SeedSequence) for s in noise_seed):
+        if len(noise_seed) != n_batch:
+            raise ValueError(f"{len(noise_seed)} noise streams for {n_batch} states")
+        streams = noise_seed
+    else:
+        seq = noise_seed if isinstance(noise_seed, np.random.SeedSequence) else np.random.SeedSequence(noise_seed)
+        streams = [np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size)
+                   for i in range(n_batch)]
     records = np.stack(
         [
-            simulate_record(pure_state_density(s), traj_true, sigma, child).values
-            for s, child in zip(psi, children)
+            simulate_record(pure_state_density(s), traj_true[:, i] if per_state else traj_true, sigma, stream).values
+            for i, (s, stream) in enumerate(zip(psi, streams))
         ]
     )
 
-    table = _operator_table(traj_ideal[1:], basis)
-    gram = table @ table.T
-    mixed = _mixed(basis.shape[1])
-    x_warm = np.tile(mixed, (n_batch, 1))
+    d = basis.shape[1]
+    # One table per observable: (1, n, 2d^2) shared, (n_states, n, 2d^2) per state.
+    tables = _operator_table(np.swapaxes(traj_ideal[1:], 0, 1) if per_state else traj_ideal[None, 1:], basis)
+    grams = tables @ np.swapaxes(tables, -1, -2)
+    mixed = _mixed(d)
+    x = np.tile(mixed, (n_batch, 1))
     fid = np.empty((n_batch, n_steps))
     for k in range(1, n_steps + 1):
-        pinv, _, lam_max = _pseudoinverse(gram[:k, :k], DEFAULT_RCOND)
-        x_ml = mixed + (records[:, :k] @ pinv) @ table[:k]
-        _, rho_bar = _projected_gradient(table[:k], x_ml, lam_max, max_iter, x_warm, basis)
-        x_warm = _interleaved(rho_bar)
-        overlap = np.einsum("bi,bij,bj->b", psi.conj(), rho_bar, psi).real
+        solved = [_pseudoinverse(gram[:k, :k], DEFAULT_RCOND) for gram in grams]
+        pinv = np.stack([entries for entries, _, _ in solved])
+        lam_max = np.array([w_max for _, _, w_max in solved])
+        x_ml = mixed + _per_table(_per_table(records[:, :k], pinv), tables[:, :k])
+        x = _projected_gradient(tables[:, :k], x_ml, lam_max, max_iter, x, basis)
+        rho = x.view(complex).reshape(-1, d, d)
+        overlap = np.einsum("bi,bij,bj->b", psi.conj(), rho, psi).real
         fid[:, k - 1] = np.clip(overlap, 0.0, 1.0)
     return fid
 

@@ -297,6 +297,7 @@ class TestFidelityStreams:
             ("fidelity_sweep", {"resample_observable": True}),
             ("fidelity_sweep", {"perturb_experimenter": True}),
             ("perturb_sweep", {"delta_lambda_list": (0.02, 0.005)}),
+            ("perturb_sweep", {"resample_observable": True, "n_states": 18}),
         ],
     )
     def test_series_match_documented_streams(self, tmp_path, experiment, extra):

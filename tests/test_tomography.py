@@ -28,6 +28,7 @@ from chaostomo import (
     simulate_record,
     to_bloch,
 )
+from chaostomo.tomography import _simplex_project
 from oracles import qubit_boundary_grid_minimum
 
 
@@ -197,6 +198,42 @@ class TestMlEstimate:
     def test_shape_mismatch(self, basis5):
         with pytest.raises(ValueError):
             ml_estimate(covariance(np.eye(24)), np.eye(24), MeasurementRecord(np.zeros(3), 0.0))
+
+
+def sorted_simplex_reference(w):
+    """Simplex projection of each row of w, sorting the spectrum itself."""
+    u = np.sort(w, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    counts = np.arange(1, w.shape[-1] + 1)
+    positive = u + (1.0 - css) / counts > 0
+    last = w.shape[-1] - 1 - np.argmax(positive[..., ::-1], axis=-1)
+    css_last = np.take_along_axis(css, last[..., None], axis=-1)
+    shift = (1.0 - css_last) / (last + 1)[..., None]
+    return np.maximum(w + shift, 0.0)
+
+
+class TestSimplexProject:
+    def test_matches_sorting_reference_on_ascending_spectra(self):
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal((200, 7)) * rng.choice([1e-3, 0.3, 3.0], size=(200, 1))
+        # Ties: repeated entries within a row, constant rows, a row already
+        # on the simplex and one of all zeros.
+        w[::3, 2] = w[::3, 1]
+        w[::5, 4:] = w[::5, 3:4]
+        w[7] = 0.25
+        w[8] = np.array([0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4])
+        w[9] = 0.0
+        w = np.sort(w, axis=-1)
+        np.testing.assert_array_equal(_simplex_project(w), sorted_simplex_reference(w))
+
+    def test_eigh_spectra_land_on_simplex(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((20, 5, 5)) + 1j * rng.standard_normal((20, 5, 5))
+        w = np.linalg.eigvalsh(a + np.conjugate(np.swapaxes(a, -1, -2)))
+        projected = _simplex_project(w)
+        np.testing.assert_array_equal(projected, sorted_simplex_reference(w))
+        assert np.all(projected >= 0)
+        np.testing.assert_allclose(projected.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestPsdProject:
@@ -413,3 +450,74 @@ class TestEnsemble:
         matrix = fidelity_matrix(states, traj_true, traj_ideal, basis5, 0.0, 1)
         assert matrix[:, -1].min() >= 1 - 1e-6
         assert np.diff(matrix, axis=1).min() >= -1e-6
+
+    @staticmethod
+    def _per_state_inputs(spin, n_steps=24):
+        # Three states, each measured through its own observable; trajectories
+        # are (n + 1, n_states, d, d), column i for state i.
+        pair = floquet_pair(KickedTopParams(3.0, 1.4, 0.01, spin))
+        observables = [initial_observable(spin, 40 + i) for i in range(3)]
+        traj_true = np.stack([operator_trajectory(o, pair.true_perturbed, n_steps) for o in observables], axis=1)
+        traj_ideal = np.stack([operator_trajectory(o, pair.ideal, n_steps) for o in observables], axis=1)
+        states = np.stack([haar_random_state(spin, 90 + i) for i in range(3)])
+        return states, traj_true, traj_ideal
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_per_state_call_equals_one_row_calls(self, spin5, basis5, sigma):
+        states, traj_true, traj_ideal = self._per_state_inputs(spin5)
+        # A one-row call with key (i,) draws its row from (i, 0).
+        one_row = np.concatenate([
+            fidelity_matrix(
+                states[i:i + 1], traj_true[:, i], traj_ideal[:, i], basis5, sigma,
+                np.random.SeedSequence(9, spawn_key=(i,)),
+            )
+            for i in range(3)
+        ])
+        streams = [np.random.SeedSequence(9, spawn_key=(i, 0)) for i in range(3)]
+        batched = fidelity_matrix(states, traj_true, traj_ideal, basis5, sigma, streams)
+        np.testing.assert_array_equal(batched, one_row)
+
+    def test_per_state_zero_table_row_stays_mixed(self, spin5, basis5):
+        # State 0 is measured through a multiple of the identity, whose
+        # traceless part vanishes: its Gram matrix is zero and its estimate
+        # stays I/d, while the other rows still match their one-row calls.
+        states, traj_true, traj_ideal = self._per_state_inputs(spin5, n_steps=12)
+        traj_true[:, 0] = traj_ideal[:, 0] = np.eye(5)
+        streams = [np.random.SeedSequence(9, spawn_key=(i, 0)) for i in range(3)]
+        batched = fidelity_matrix(states, traj_true, traj_ideal, basis5, 0.05, streams)
+        np.testing.assert_allclose(batched[0], 0.2, rtol=0, atol=1e-12)
+        for i in (1, 2):
+            one_row = fidelity_matrix(
+                states[i:i + 1], traj_true[:, i], traj_ideal[:, i], basis5, 0.05,
+                np.random.SeedSequence(9, spawn_key=(i,)),
+            )
+            np.testing.assert_array_equal(batched[i], one_row[0])
+
+    def test_per_state_iteration_cap_carries_best_iterates(self, spin5, basis5):
+        states, traj_true, traj_ideal = self._per_state_inputs(spin5)
+        with pytest.raises(ProjectionConvergenceError) as err:
+            fidelity_matrix(states, traj_true, traj_ideal, basis5, 0.05, 3, max_iter=1)
+        assert err.value.r_bar.shape == (3, 24)
+        assert err.value.rho_bar.shape == (3, 5, 5)
+        for rho in err.value.rho_bar:
+            assert np.linalg.eigvalsh(rho)[0] > -1e-9
+            assert abs(np.trace(rho).real - 1) < 1e-10
+
+    def test_rejects_empty_state_batch(self, spin5, basis5):
+        traj = kicked_trajectory(spin5, n=10)
+        with pytest.raises(ValueError, match="at least one state"):
+            fidelity_matrix(np.empty((0, 5), dtype=complex), traj, traj, basis5, 0.05, 1)
+
+    def test_rejects_trajectory_without_record(self, spin5, basis5):
+        traj = kicked_trajectory(spin5, n=10)[:1]
+        psi = haar_random_state(spin5, 1)
+        with pytest.raises(ValueError, match="at least one measured step"):
+            fidelity_matrix(psi[None], traj, traj, basis5, 0.05, 1)
+
+    def test_rejects_per_state_count_mismatch(self, spin5, basis5):
+        states, traj_true, traj_ideal = self._per_state_inputs(spin5, n_steps=6)
+        with pytest.raises(ValueError, match="per-state trajectories hold 3 states"):
+            fidelity_matrix(states[:2], traj_true, traj_ideal, basis5, 0.05, 1)
+        with pytest.raises(ValueError, match="2 noise streams for 3 states"):
+            streams = [np.random.SeedSequence(1, spawn_key=(i,)) for i in range(2)]
+            fidelity_matrix(states, traj_true, traj_ideal, basis5, 0.05, streams)
