@@ -33,7 +33,6 @@ from .tomography import (
     TomographyEstimate,
     covariance,
     design_matrix,
-    ensemble_average_fidelity,
     fidelity,
     fidelity_matrix,
     ml_estimate,

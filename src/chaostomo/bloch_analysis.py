@@ -42,12 +42,7 @@ def measurement_plan(rho0: np.ndarray, basis: np.ndarray, perturbed: np.ndarray)
     return OrderedMeasurementPlan(permutation, r, r_pert)
 
 
-def ideal_fidelity_curve(
-    rho0: np.ndarray,
-    basis: np.ndarray,
-    perturbed: np.ndarray,
-    params: dict | None = None,
-) -> MetricSeries:
+def ideal_fidelity_curve(rho0: np.ndarray, basis: np.ndarray, perturbed: np.ndarray) -> MetricSeries:
     """Fidelity after k ordered noiseless measurements, k = 0 .. d^2 - 1.
 
     F(k) = 1/d + sum of the first k products r'_a r_a in magnitude order of
@@ -64,4 +59,4 @@ def ideal_fidelity_curve(
     )
     d = rho0.shape[0]
     values = 1.0 / d + np.concatenate(([0.0], np.cumsum(ordered_products)))
-    return MetricSeries("fidelity", np.arange(values.size), values, None, dict(params or {}))
+    return MetricSeries("fidelity", np.arange(values.size), values)

@@ -72,38 +72,36 @@ def regularize(obs: np.ndarray) -> np.ndarray:
     return (v * p) @ v.conj().T
 
 
-def _entropy(wa, va, wb, vb, floor: float) -> np.ndarray:
+def _entropy(wa, va, wb, vb) -> np.ndarray:
     """Tr(a log a) - Tr(a log b) from (stacked) spectra and eigenvectors, through
-    the overlaps |<a_i|b_k>|^2, after raising eigenvalues to ``floor`` and renormalizing."""
-    wa = np.maximum(wa, floor)
+    the overlaps |<a_i|b_k>|^2, after flooring eigenvalues at DEFAULT_ENTROPY_FLOOR and renormalizing."""
+    wa = np.maximum(wa, DEFAULT_ENTROPY_FLOOR)
     wa = wa / wa.sum(axis=-1, keepdims=True)
-    wb = np.maximum(wb, floor)
+    wb = np.maximum(wb, DEFAULT_ENTROPY_FLOOR)
     wb = wb / wb.sum(axis=-1, keepdims=True)
     overlaps = np.abs(np.conj(np.swapaxes(va, -1, -2)) @ vb) ** 2
     cross = np.einsum("...i,...ik,...k->...", wa, overlaps, np.log(wb))
     return np.sum(wa * np.log(wa), axis=-1) - cross
 
 
-def relative_entropy(a: np.ndarray, b: np.ndarray, floor: float = DEFAULT_ENTROPY_FLOOR) -> float:
+def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
     """Tr(a (log a - log b)) in nats, for positive unit-trace operators.
 
-    Eigenvalues of both arguments are raised to ``floor`` and the spectra
-    renormalized before taking logs, so exact zeros (common after
-    regularization of rank-deficient observables) stay finite.
+    Eigenvalues of both arguments are raised to a fixed floor of 1e-12
+    (``DEFAULT_ENTROPY_FLOOR``) and the spectra renormalized before taking
+    logs, so exact zeros (common after regularization of rank-deficient
+    observables) stay finite.
     """
-    return float(_entropy(*_eigh_hermitian(np.asarray(a)), *_eigh_hermitian(np.asarray(b)), floor))
+    return float(_entropy(*_eigh_hermitian(np.asarray(a)), *_eigh_hermitian(np.asarray(b))))
 
 
-def relative_entropy_series(
-    traj_true: np.ndarray,
-    traj_ideal: np.ndarray,
-    floor: float = DEFAULT_ENTROPY_FLOOR,
-) -> MetricSeries:
-    """Relative entropy of the regularized true vs ideal operator at each step."""
+def relative_entropy_series(traj_true: np.ndarray, traj_ideal: np.ndarray) -> MetricSeries:
+    """Relative entropy of the regularized true vs ideal operator at each step,
+    with spectra floored at 1e-12 (``DEFAULT_ENTROPY_FLOOR``)."""
     traj_true = np.asarray(traj_true)
     traj_ideal = np.asarray(traj_ideal)
     _check_pair(traj_true, traj_ideal)
-    values = _entropy(*_regularized_spectrum(traj_true), *_regularized_spectrum(traj_ideal), floor)
+    values = _entropy(*_regularized_spectrum(traj_true), *_regularized_spectrum(traj_ideal))
     return MetricSeries("rel_entropy", np.arange(len(values)), values)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -98,6 +99,10 @@ _LIST_KEYS = ("lambda_list", "delta_lambda_list", "eta_list")
 _BOOL_KEYS = ("perturb_experimenter", "resample_observable")
 _STR_KEYS = ("experiment", "output_dir")
 _ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _LIST_KEYS + _BOOL_KEYS + _STR_KEYS
+# Types the numeric and list keys accept, bools excluded. Values are checked,
+# never converted, so a config's hash does not change.
+_KINDS = (("an integer", numbers.Integral, _INT_KEYS), ("a real number", numbers.Real, _FLOAT_KEYS),
+          ("a list", (tuple, list), _LIST_KEYS))
 
 
 def _coerce(key: str, raw: str):
@@ -138,6 +143,12 @@ def _read_config_file(path) -> dict:
 
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:
+    for kind, types, names in _KINDS:
+        for name in names:
+            value = getattr(config, name)
+            unset = name == "noise_sigma" and value is None
+            if not unset and (isinstance(value, bool) or not isinstance(value, types)):
+                raise ConfigError(f"{name}: must be {kind}, got {value!r}")
     if config.experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: {config.experiment!r} is not one of {EXPERIMENTS}")
     try:
@@ -157,8 +168,8 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         values = getattr(config, name)
         if len(values) == 0:
             raise ConfigError(f"{name}: must not be empty")
-        if not all(np.isfinite(v) for v in values):
-            raise ConfigError(f"{name}: all entries must be finite")
+        if not all(isinstance(v, numbers.Real) and np.isfinite(v) for v in values):
+            raise ConfigError(f"{name}: all entries must be finite numbers")
     if any(not 0.0 <= eta <= 1.0 for eta in config.eta_list):
         raise ConfigError(f"eta_list: entries must lie in [0, 1], got {config.eta_list}")
     if config.noise_sigma is None:
@@ -274,7 +285,7 @@ def _ensemble_states(config: ExperimentConfig, spin: SpinParams) -> np.ndarray:
 
 # A resampled-observable ensemble is reconstructed in blocks of this many
 # states, which bounds the memory of a run: at d = 21 and 200 steps one state
-# holds about 6 MB in a batched call (see fidelity_matrix).
+# holds about 6 MB in a batched call, and a block 97 MB (see fidelity_matrix).
 _STATE_BLOCK = 16
 
 
@@ -289,7 +300,7 @@ def _run_fidelity(config: ExperimentConfig, config_hash: str):
     resampled, state i gets observable (0, i) and noise stream (3, k, i, 0),
     and the states go to ``fidelity_matrix`` in blocks of ``_STATE_BLOCK``
     with trajectories of shape (n + 1, block, d, d), so a run holds about
-    100 MB for them at d = 21 and 200 steps whatever the ensemble size.
+    97 MB for them at d = 21 and 200 steps whatever the ensemble size.
     """
     spin = SpinParams(config.j)
     basis = hermitian_basis(spin)
@@ -395,7 +406,9 @@ def run(config: ExperimentConfig) -> RunManifest:
     The manifest is written before the computation starts and finalized
     (duration, file list) afterwards. Identical config and seed produce
     byte-identical CSVs; only manifest timestamps differ between repeats.
+    The config is validated first, as by ``parse_config``.
     """
+    config = _validate(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_hash = _config_hash(config)

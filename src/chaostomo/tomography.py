@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import MetricSeries, mean_and_stderr
 from .spin_algebra import _interleaved, from_bloch, pure_state_density, to_bloch
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "reconstruct",
     "fidelity",
     "fidelity_matrix",
-    "ensemble_average_fidelity",
 ]
 
 DEFAULT_RCOND = 1e-10
@@ -135,7 +133,11 @@ def _operator_table(traj: np.ndarray, basis: np.ndarray) -> np.ndarray:
         raise ValueError(f"trajectory shape {traj.shape[-2:]} does not match basis {basis.shape[1:]}")
     d = basis.shape[1]
     traces = np.trace(traj, axis1=-2, axis2=-1).real
-    return _interleaved(traj - traces[..., None, None] * np.eye(d) / d)
+    # One C-ordered copy (per-state trajectories arrive as a step-major view),
+    # made traceless in place through the real parts of its diagonal.
+    table = _interleaved(np.array(traj, dtype=complex, order="C"))
+    table[..., :: 2 * (d + 1)] -= traces[..., None] / d
+    return table
 
 
 def _pseudoinverse(gram: np.ndarray, rcond: float) -> tuple[np.ndarray, int, float]:
@@ -215,12 +217,24 @@ def _per_table(rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
     return (rows.reshape(len(tables), -1, rows.shape[-1]) @ tables).reshape(len(rows), -1)
 
 
+def _least_squares(
+    tables: np.ndarray, grams: np.ndarray, records: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares states rho_ml = I/d + sum_k c_k O_k, c = G^+ M, as interleaved
+    rows (b, 2d^2), and the top eigenvalue of each Gram matrix G (g,), for records
+    (b, k) in g equal groups of rows with tables (g, k, 2d^2) and grams (g, k, k)."""
+    solved = [_pseudoinverse(gram, DEFAULT_RCOND) for gram in grams]
+    pinv = np.stack([entries for entries, _, _ in solved])
+    lam_max = np.array([w_max for _, _, w_max in solved])
+    return _mixed(d) + _per_table(_per_table(records, pinv), tables), lam_max
+
+
 def _projected_gradient(
     tables: np.ndarray,
     x_ml: np.ndarray,
-    lam_max: float | np.ndarray,
+    lam_max: np.ndarray,
     max_iter: int,
-    x_start: np.ndarray | None,
+    x_start: np.ndarray,
     basis: np.ndarray,
 ) -> np.ndarray:
     """Minimize sum_k Tr(O_k (rho - rho_ml))^2 over density matrices, row by row.
@@ -228,7 +242,8 @@ def _projected_gradient(
     ``x_ml`` holds rho_ml as one interleaved row or a batch (b, 2d^2);
     ``tables`` (g, k, 2d^2) the operators O_k as interleaved rows, one table
     shared by every row (g = 1) or one per row (g = b); ``lam_max`` (g,) the
-    top eigenvalue of each table's Gram matrix Tr(O_k O_l).
+    top eigenvalue of each table's Gram matrix Tr(O_k O_l); ``x_start`` the
+    rows to start from (projected first), batched like x_ml.
     Projected gradient with fixed step 1/lam_max, Nesterov momentum, and a
     function restart whenever the (feasible) objective rises; the momentum
     cuts the iteration count by roughly the square root of the condition
@@ -247,7 +262,7 @@ def _projected_gradient(
     d = basis.shape[1]
     single = x_ml.ndim == 1
     x_ml = np.atleast_2d(x_ml)
-    x_out = _project_feasible(x_ml if x_start is None else np.atleast_2d(x_start), d)
+    x_out = _project_feasible(np.atleast_2d(x_start), d)
 
     def solutions():
         return x_out[0] if single else x_out
@@ -324,10 +339,8 @@ def psd_project(
     w, v = np.linalg.eigh((c_inv + c_inv.T) / 2)
     keep = w > 0
     table = (v[:, keep] * np.sqrt(w[keep])).T @ _interleaved(basis)
-    x = _projected_gradient(
-        table[None], _interleaved(from_bloch(r_ml, basis)), float(w[-1]), max_iter, None, basis
-    )
-    return _physical(x, basis)
+    x_ml = _interleaved(from_bloch(r_ml, basis))
+    return _physical(_projected_gradient(table[None], x_ml, w[-1:], max_iter, x_ml, basis), basis)
 
 
 def fidelity(psi0: np.ndarray, rho: np.ndarray) -> float:
@@ -358,10 +371,10 @@ def reconstruct(
         raise ValueError(
             f"trajectory must hold {len(record) + 1} operators (step 0 included), got {len(traj)}"
         )
-    table = _operator_table(traj[1:], basis)
-    pinv, _, lam_max = _pseudoinverse(table @ table.T, DEFAULT_RCOND)
-    x_ml = _mixed(basis.shape[1]) + (pinv @ record.values) @ table
-    x = _projected_gradient(table[None], x_ml, lam_max, DEFAULT_MAX_ITER, None, basis)
+    # The one-row case of fidelity_matrix's least-squares step, solved cold.
+    table = _operator_table(traj[None, 1:], basis)
+    x_ml, lam_max = _least_squares(table, table @ table.swapaxes(-1, -2), record.values[None], basis.shape[1])
+    x = _projected_gradient(table, x_ml[0], lam_max, DEFAULT_MAX_ITER, x_ml[0], basis)
     r_bar, rho_bar = _physical(x, basis)
     r_ml = to_bloch(x_ml.view(complex).reshape(basis.shape[1:]), basis)
     fid = fidelity(psi0, rho_bar) if psi0 is not None else None
@@ -397,8 +410,8 @@ def fidelity_matrix(
     fidelities equal those of a one-row call bit for bit. Such a call holds
     about 6 MB per state at d = 21 and 200 steps (the two trajectories
     2.8 MB, the operator table and the projection's working copy of it
-    2.8 MB, the Gram matrix 0.3 MB), so large ensembles go in blocks of
-    states.
+    2.8 MB, the Gram matrix 0.3 MB; 97 MB measured for 16 states), so large
+    ensembles go in blocks of states.
     """
     psi = np.atleast_2d(np.asarray(states))
     traj_true = np.asarray(traj_true)
@@ -434,33 +447,13 @@ def fidelity_matrix(
     # One table per observable: (1, n, 2d^2) shared, (n_states, n, 2d^2) per state.
     tables = _operator_table(np.swapaxes(traj_ideal[1:], 0, 1) if per_state else traj_ideal[None, 1:], basis)
     grams = tables @ np.swapaxes(tables, -1, -2)
-    mixed = _mixed(d)
-    x = np.tile(mixed, (n_batch, 1))
+    x = np.tile(_mixed(d), (n_batch, 1))
     fid = np.empty((n_batch, n_steps))
     for k in range(1, n_steps + 1):
-        solved = [_pseudoinverse(gram[:k, :k], DEFAULT_RCOND) for gram in grams]
-        pinv = np.stack([entries for entries, _, _ in solved])
-        lam_max = np.array([w_max for _, _, w_max in solved])
-        x_ml = mixed + _per_table(_per_table(records[:, :k], pinv), tables[:, :k])
+        x_ml, lam_max = _least_squares(tables[:, :k], grams[:, :k, :k], records[:, :k], d)
         x = _projected_gradient(tables[:, :k], x_ml, lam_max, max_iter, x, basis)
         rho = x.view(complex).reshape(-1, d, d)
         overlap = np.einsum("bi,bij,bj->b", psi.conj(), rho, psi).real
         fid[:, k - 1] = np.clip(overlap, 0.0, 1.0)
     return fid
 
-
-def ensemble_average_fidelity(
-    states: np.ndarray,
-    traj_true: np.ndarray,
-    traj_ideal: np.ndarray,
-    basis: np.ndarray,
-    sigma: float,
-    noise_seed,
-) -> MetricSeries:
-    """Mean reconstruction fidelity over a state ensemble, with standard error."""
-    if len(states) == 0:
-        raise ValueError("need at least one state")
-    fid = fidelity_matrix(states, traj_true, traj_ideal, basis, sigma, noise_seed)
-    mean, stderr = mean_and_stderr(fid)
-    times = np.arange(1, fid.shape[1] + 1)
-    return MetricSeries("fidelity", times, mean, stderr)

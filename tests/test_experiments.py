@@ -1,6 +1,7 @@
 """Tests for config parsing, the experiment runner, CSV output, and the CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,10 @@ class TestParseConfig:
             ({"noise_sigma": float("inf")}, "noise_sigma"),
             ({"delta_lambda": float("nan")}, "delta_lambda"),
             ({"j": float("inf")}, "j"),
+            ({"n_steps": 2.5}, "n_steps"),
+            ({"n_states": "3"}, "n_states"),
+            ({"lambda_list": 0.5}, "lambda_list"),
+            ({"j": "1"}, "j"),
         ],
     )
     def test_out_of_range_named_in_error(self, overrides, field):
@@ -209,6 +214,17 @@ class TestRunExperiments:
             a_lines = a_bytes.split(b"\n")
             b_lines = b_bytes.split(b"\n")
             assert a_lines[2:] == b_lines[2:]
+
+    def test_direct_config_is_validated(self, tmp_path):
+        # run() validates what it is given: an unparsed config gets its noise
+        # default and writes the bytes of its parsed equivalent.
+        fields = dict(experiment="fidelity_sweep", j=1.0, n_steps=4, n_states=2,
+                      lambda_list=(1.0,), output_dir=str(tmp_path))
+        parsed = [Path(p).read_bytes() for p in run(parse_config(overrides=fields)).series_files]
+        direct = [Path(p).read_bytes() for p in run(ExperimentConfig(**fields)).series_files]
+        assert direct == parsed
+        with pytest.raises(ConfigError, match="experiment"):
+            run(ExperimentConfig(experiment="nope", output_dir=str(tmp_path)))
 
     def test_observable_reuse_across_lambdas(self, tmp_path):
         # One shared observable per sweep: the step-0 rel_entropy values all

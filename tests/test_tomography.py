@@ -1,5 +1,7 @@
 """Tests for records, least-squares estimation, and the physicality projection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from chaostomo import (
     angular_momentum_ops,
     covariance,
     design_matrix,
-    ensemble_average_fidelity,
     fidelity,
     fidelity_matrix,
     floquet_map,
@@ -28,7 +29,9 @@ from chaostomo import (
     simulate_record,
     to_bloch,
 )
-from chaostomo.tomography import _simplex_project
+from chaostomo.series import mean_and_stderr
+from chaostomo.spin_algebra import _interleaved
+from chaostomo.tomography import _operator_table, _simplex_project
 from oracles import qubit_boundary_grid_minimum
 
 
@@ -119,6 +122,22 @@ class TestDesignMatrix:
         traj = kicked_trajectory(spin5, n=60)
         cov = covariance(design_matrix(traj[1:], basis5))
         assert cov.rank <= 5 * 5 - 5 + 1
+
+    def test_operator_table_of_step_major_view_copies_once(self, basis5):
+        # Per-state sweeps pass (n, b, d, d) trajectories swapped to (b, n, d, d);
+        # the table costs one C-ordered copy, not a second reordering one.
+        rng = np.random.default_rng(0)
+        ops = rng.standard_normal((1000, 8, 5, 5)) + 1j * rng.standard_normal((1000, 8, 5, 5))
+        traj = np.swapaxes(ops + np.conj(np.swapaxes(ops, -1, -2)), 0, 1)
+        tracemalloc.start()
+        try:
+            table = _operator_table(traj, basis5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table.nbytes
+        traces = np.trace(traj, axis1=-2, axis2=-1).real
+        np.testing.assert_array_equal(table, _interleaved(traj - traces[..., None, None] * np.eye(5) / 5))
 
 
 class TestCovariance:
@@ -363,17 +382,11 @@ class TestReconstructAndFidelity:
 
 
 class TestEnsemble:
-    def test_single_state_matches_matrix_row(self, spin5, basis5):
-        traj_true = kicked_trajectory(spin5, dlam=0.01, n=15, perturbed=True)
-        traj_ideal = kicked_trajectory(spin5, dlam=0.01, n=15, perturbed=False)
-        psi = haar_random_state(spin5, 3)
-        series = ensemble_average_fidelity(
-            psi[None, :], traj_true, traj_ideal, basis5, 0.02, 77
-        )
-        matrix = fidelity_matrix(psi[None, :], traj_true, traj_ideal, basis5, 0.02, 77)
-        np.testing.assert_array_equal(series.values, matrix[0])
-        assert np.all(series.stderr == 0)
-        assert series.times[0] == 1 and series.times[-1] == 15
+    def test_one_state_has_zero_stderr(self):
+        fid = np.random.default_rng(3).uniform(size=(1, 15))
+        mean, stderr = mean_and_stderr(fid)
+        np.testing.assert_array_equal(mean, fid[0])
+        assert np.all(stderr == 0)
 
     def test_growing_ensemble_keeps_early_states(self, spin5, basis5):
         traj = kicked_trajectory(spin5, n=12)
