@@ -52,7 +52,6 @@ from .bloch_analysis import (
     OrderedMeasurementPlan,
     ideal_fidelity_curve,
     measurement_plan,
-    perturbed_basis,
 )
 from .experiments import (
     ConfigError,

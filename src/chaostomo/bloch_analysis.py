@@ -4,7 +4,9 @@ truth, and accumulate the closed-form fidelity of the resulting estimate.
 
 The estimator guesses zero for every unmeasured component, so after k
 measurements the fidelity is 1/d plus the sum of the first k products of
-perturbed and true components.
+perturbed and true components. The rotated basis W E_a W^dag is never built:
+its components of a pure state are those of the rotated state W^dag psi,
+Tr(rho W E_a W^dag) = <W^dag psi| E_a |W^dag psi>.
 """
 
 from __future__ import annotations
@@ -13,50 +15,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import MetricSeries
-from .spin_algebra import to_bloch, unitary_fractional_power
+from .spin_algebra import pure_state_density, to_bloch
 
-__all__ = ["OrderedMeasurementPlan", "perturbed_basis", "measurement_plan", "ideal_fidelity_curve"]
+__all__ = ["OrderedMeasurementPlan", "measurement_plan", "ideal_fidelity_curve"]
 
 
 @dataclass
 class OrderedMeasurementPlan:
-    """Measurement order (by decreasing |r_a|) and both component readouts."""
+    """Measurement order (by decreasing |r_a|) and both component readouts,
+    batched like the states."""
 
     permutation: np.ndarray
     true_components: np.ndarray
     perturbed_components: np.ndarray
 
 
-def perturbed_basis(basis: np.ndarray, u_r: np.ndarray, eta: float) -> np.ndarray:
-    """Conjugate every basis element by u_r^eta; orthonormality is preserved."""
-    w = unitary_fractional_power(u_r, eta)
-    return w @ basis @ w.conj().T
-
-
-def measurement_plan(rho0: np.ndarray, basis: np.ndarray, perturbed: np.ndarray) -> OrderedMeasurementPlan:
-    """Order the basis by decreasing |Tr(rho0 E_a)|, ties broken by index."""
-    r = to_bloch(rho0, basis)
-    r_pert = to_bloch(rho0, perturbed)
-    permutation = np.argsort(-np.abs(r), kind="stable")
+def measurement_plan(states: np.ndarray, basis: np.ndarray, rotation: np.ndarray) -> OrderedMeasurementPlan:
+    """Order the basis by decreasing |<psi|E_a|psi>| for a pure state psi or a
+    stack (b, d) of them, ties broken by index; the perturbed components are
+    those in the basis W E_a W^dag of the rotation W, read from W^dag psi."""
+    psi = np.asarray(states)
+    r = to_bloch(pure_state_density(psi), basis)
+    r_pert = to_bloch(pure_state_density(psi @ np.conj(rotation)), basis)
+    permutation = np.argsort(-np.abs(r), axis=-1, kind="stable")
     return OrderedMeasurementPlan(permutation, r, r_pert)
 
 
-def ideal_fidelity_curve(rho0: np.ndarray, basis: np.ndarray, perturbed: np.ndarray) -> MetricSeries:
-    """Fidelity after k ordered noiseless measurements, k = 0 .. d^2 - 1.
+def ideal_fidelity_curve(states: np.ndarray, basis: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """Fidelity after k ordered noiseless measurements, k = 0 .. d^2 - 1, of a
+    pure state (d,) or of each state in a stack (b, d): shape (d^2,) or (b, d^2).
 
     F(k) = 1/d + sum of the first k products r'_a r_a in magnitude order of
-    the unperturbed components, with the zero guess for the rest. Requires a
-    pure input state (the closed form assumes a rank-one target).
+    the unperturbed components, with the zero guess for the rest; r' are the
+    components in the basis rotated by W (see ``measurement_plan``). Requires
+    unit vectors (the closed form assumes a rank-one target).
     """
-    rho0 = np.asarray(rho0)
-    purity = np.einsum("ij,ji->", rho0, rho0).real
-    if abs(purity - 1.0) > 1e-8:
-        raise ValueError(f"input state must be pure (Tr rho^2 = {purity:.6f})")
-    plan = measurement_plan(rho0, basis, perturbed)
-    ordered_products = (
-        plan.perturbed_components[plan.permutation] * plan.true_components[plan.permutation]
+    psi = np.asarray(states)
+    norms = np.linalg.norm(psi, axis=-1)
+    if np.any(np.abs(norms - 1.0) > 1e-8):
+        raise ValueError(f"states must be unit vectors (norms {np.min(norms):.6f} .. {np.max(norms):.6f})")
+    plan = measurement_plan(psi, basis, rotation)
+    ordered_products = np.take_along_axis(
+        plan.perturbed_components * plan.true_components, plan.permutation, axis=-1
     )
-    d = rho0.shape[0]
-    values = 1.0 / d + np.concatenate(([0.0], np.cumsum(ordered_products)))
-    return MetricSeries("fidelity", np.arange(values.size), values)
+    cumulative = np.cumsum(ordered_products, axis=-1)
+    return 1.0 / basis.shape[1] + np.concatenate((np.zeros_like(cumulative[..., :1]), cumulative), axis=-1)

@@ -95,13 +95,29 @@ def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
     return float(_entropy(*_eigh_hermitian(np.asarray(a)), *_eigh_hermitian(np.asarray(b))))
 
 
-def relative_entropy_series(traj_true: np.ndarray, traj_ideal: np.ndarray) -> MetricSeries:
-    """Relative entropy of the regularized true vs ideal operator at each step,
-    with spectra floored at 1e-12 (``DEFAULT_ENTROPY_FLOOR``)."""
-    traj_true = np.asarray(traj_true)
-    traj_ideal = np.asarray(traj_ideal)
-    _check_pair(traj_true, traj_ideal)
-    values = _entropy(*_regularized_spectrum(traj_true), *_regularized_spectrum(traj_ideal))
+def relative_entropy_series(obs: np.ndarray, pair: FloquetPair, n_steps: int) -> MetricSeries:
+    """Relative entropy of the regularized true vs ideal operator at steps
+    0..n_steps, with spectra floored at 1e-12 (``DEFAULT_ENTROPY_FLOOR``).
+
+    Both evolved operators U^dag^n O U^n keep the regularized spectrum p of O
+    and carry its eigenvectors V as U^dag^n V, so O is diagonalized once and
+    only the eigenvectors are propagated, one stacked product per step. The
+    overlaps between the two eigenbases are |V^dag E_n^dag V|^2 with E_n the
+    step-n ``error_unitary(pair, n)``.
+    """
+    obs = np.asarray(obs, dtype=complex)
+    maps = np.stack([pair.true_perturbed, pair.ideal])
+    if obs.ndim != 2 or obs.shape != maps.shape[1:]:
+        raise ValueError(f"shape mismatch: observable {obs.shape} vs unitaries {maps.shape[1:]}")
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    p, v = _regularized_spectrum(obs)
+    vecs = np.empty((n_steps + 1, 2) + obs.shape, dtype=complex)
+    vecs[0] = v
+    maps_dag = np.conj(np.swapaxes(maps, -1, -2))
+    for k in range(1, n_steps + 1):
+        vecs[k] = maps_dag @ vecs[k - 1]
+    values = _entropy(p, vecs[:, 0], p, vecs[:, 1])
     return MetricSeries("rel_entropy", np.arange(len(values)), values)
 
 

@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bloch_analysis import ideal_fidelity_curve, perturbed_basis
+from .bloch_analysis import ideal_fidelity_curve
 from .chaos_metrics import loschmidt_echo, operator_incompatibility, relative_entropy_series
 from .kicked_top import KickedTopParams, floquet_pair, initial_observable, operator_trajectory
 from .series import MetricSeries, mean_and_stderr
-from .spin_algebra import SpinParams, haar_random_state, haar_random_unitary, hermitian_basis, pure_state_density
+from .spin_algebra import SpinParams, haar_random_state, haar_random_unitary, hermitian_basis, unitary_fractional_power
 from .tomography import fidelity_matrix
 
 __all__ = [
@@ -357,14 +357,15 @@ def _run_operator_metric(config: ExperimentConfig, config_hash: str):
     out = []
     for lam in config.lambda_list:
         pair = floquet_pair(KickedTopParams(lam, config.alpha, config.delta_lambda, spin))
-        traj_true = operator_trajectory(obs, pair.true_perturbed, config.n_steps - 1)
-        traj_ideal = operator_trajectory(obs, pair.ideal, config.n_steps - 1)
-        if config.experiment == "loschmidt":
-            series = loschmidt_echo(traj_true, traj_ideal)
-        elif config.experiment == "rel_entropy":
-            series = relative_entropy_series(traj_true, traj_ideal)
+        if config.experiment == "rel_entropy":
+            series = relative_entropy_series(obs, pair, config.n_steps - 1)
         else:
-            series = operator_incompatibility(traj_true, traj_ideal, config.j)
+            traj_true = operator_trajectory(obs, pair.true_perturbed, config.n_steps - 1)
+            traj_ideal = operator_trajectory(obs, pair.ideal, config.n_steps - 1)
+            if config.experiment == "loschmidt":
+                series = loschmidt_echo(traj_true, traj_ideal)
+            else:
+                series = operator_incompatibility(traj_true, traj_ideal, config.j)
         series.params = _series_params(
             config, config_hash, **{"lambda": lam}, delta_lambda=config.delta_lambda
         )
@@ -379,10 +380,7 @@ def _run_bloch_perturb(config: ExperimentConfig, config_hash: str):
     states = _ensemble_states(config, spin)
     out = []
     for eta in config.eta_list:
-        rotated = perturbed_basis(basis, u_r, eta)
-        curves = np.stack(
-            [ideal_fidelity_curve(pure_state_density(s), basis, rotated).values for s in states]
-        )
+        curves = ideal_fidelity_curve(states, basis, unitary_fractional_power(u_r, eta))
         mean, stderr = mean_and_stderr(curves)
         params = _series_params(config, config_hash, eta=eta)
         series = MetricSeries("fidelity", np.arange(mean.size), mean, stderr, params)

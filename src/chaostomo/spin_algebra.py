@@ -137,9 +137,9 @@ def from_bloch(r: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def pure_state_density(psi: np.ndarray) -> np.ndarray:
-    """Rank-one density matrix |psi><psi|."""
+    """Rank-one density matrix |psi><psi| of a vector, or of each row of a stack (..., d)."""
     psi = np.asarray(psi)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def haar_random_state(p: SpinParams, seed) -> np.ndarray:

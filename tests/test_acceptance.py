@@ -32,7 +32,6 @@ from chaostomo import (
     operator_incompatibility,
     operator_trajectory,
     parse_config,
-    perturbed_basis,
     psd_project,
     pure_state_density,
     read_series,
@@ -113,7 +112,7 @@ def test_criterion_02_matched_dynamics_sanity(basis21):
 
     echo = loschmidt_echo(traj_true, traj).values
     assert np.max(np.abs(echo - 1.0)) <= 1e-12
-    entropy = relative_entropy_series(traj_true, traj).values
+    entropy = relative_entropy_series(obs, pair, 200).values
     assert np.max(entropy) <= 1e-9
     incompat = operator_incompatibility(traj_true, traj, SPIN.j).values
     assert np.max(incompat) <= 1e-12
@@ -173,7 +172,7 @@ def test_criterion_05_fig2bcd_orderings():
             traj_ideal = operator_trajectory(obs, pair.ideal, 100)
             metrics[lam] = (
                 loschmidt_echo(traj_true, traj_ideal).values[100],
-                relative_entropy_series(traj_true, traj_ideal).values[100],
+                relative_entropy_series(obs, pair, 100).values[100],
                 operator_incompatibility(traj_true, traj_ideal, SPIN.j).values[100],
             )
         assert metrics[7.0][0] > metrics[0.5][0], f"echo ordering failed, seed {obs_seed}"
@@ -219,14 +218,13 @@ def test_criterion_06_fig4_perturbation_monotonicity(basis21):
 def test_criterion_07_fig3_reproduction(basis21):
     u_r = haar_random_unitary(SPIN, 11)
     for state_seed in range(5):
-        rho0 = pure_state_density(haar_random_state(SPIN, 400 + state_seed))
-        base = ideal_fidelity_curve(rho0, basis21, basis21).values
+        psi0 = haar_random_state(SPIN, 400 + state_seed)
+        base = ideal_fidelity_curve(psi0, basis21, np.eye(21))
         assert abs(base[0] - 1 / 21) < 1e-12
         assert abs(base[440] - 1.0) <= 1e-9
         assert np.all(np.diff(base) >= -1e-15)
         for eta in (0.1, 0.3):
-            rotated = perturbed_basis(basis21, u_r, eta)
-            curve = ideal_fidelity_curve(rho0, basis21, rotated).values
+            curve = ideal_fidelity_curve(psi0, basis21, unitary_fractional_power(u_r, eta))
             assert np.all(curve[51:] <= base[51:] + 1e-12), f"eta={eta}, seed={state_seed}"
     distances = [
         frobenius_distance_to_identity(unitary_fractional_power(u_r, eta))

@@ -11,8 +11,9 @@ from chaostomo import (
     hermitian_basis,
     ideal_fidelity_curve,
     measurement_plan,
-    perturbed_basis,
     pure_state_density,
+    to_bloch,
+    unitary_fractional_power,
 )
 
 
@@ -25,73 +26,106 @@ def setup21():
 
 
 class TestPerturbedBasis:
+    # The perturbed basis W E_a W^dag is read through the rotated state W^dag psi.
     def test_eta_zero_is_identity_map(self, setup21):
-        _, basis, u_r = setup21
-        np.testing.assert_allclose(perturbed_basis(basis, u_r, 0.0), basis, atol=1e-12)
+        spin, basis, u_r = setup21
+        psi = haar_random_state(spin, 7)
+        plan = measurement_plan(psi, basis, unitary_fractional_power(u_r, 0.0))
+        np.testing.assert_allclose(plan.perturbed_components, plan.true_components, atol=1e-12)
 
     def test_orthonormality_and_trace_preserved(self, setup21):
-        _, basis, u_r = setup21
-        rotated = perturbed_basis(basis, u_r, 0.6)
-        traces = np.einsum("aii->a", rotated)
-        assert np.max(np.abs(traces)) < 1e-12
-        gram = np.einsum("aij,bji->ab", rotated, rotated).real
-        assert np.max(np.abs(gram - np.eye(440))) < 1e-10
+        # A traceless orthonormal perturbed basis is complete: its components
+        # rebuild the rotated pure state exactly.
+        spin, basis, u_r = setup21
+        psi = haar_random_state(spin, 7)
+        w = unitary_fractional_power(u_r, 0.6)
+        plan = measurement_plan(psi, basis, w)
+        rebuilt = from_bloch(plan.perturbed_components, basis)
+        rotated = w.conj().T @ pure_state_density(psi) @ w
+        assert np.max(np.abs(rebuilt - rotated)) < 1e-12
+        assert np.sum(plan.perturbed_components**2) == pytest.approx(1 - 1 / 21, abs=1e-12)
 
 
 class TestMeasurementPlan:
     def test_orders_by_magnitude_with_index_ties(self):
-        spin = SpinParams(1.5)
-        basis = hermitian_basis(spin)
-        r = np.zeros(15)
-        r[2], r[5], r[9] = 0.3, -0.5, 0.3  # tie between indices 2 and 9
-        rho = from_bloch(r, basis)
-        plan = measurement_plan(rho, basis, basis)
-        assert list(plan.permutation[:3]) == [5, 2, 9]
+        # (|0> + |1> - |2>) / sqrt(3) at d = 4: the symmetric elements 0, 1, 3
+        # tie in magnitude at 2 / (3 sqrt 2) with signs +, -, -, then the last
+        # diagonal element at +0.289; all else is 0. A signed sort would put
+        # indices 1 and 3 last.
+        basis = hermitian_basis(SpinParams(1.5))
+        psi = np.array([1.0, 1.0, -1.0, 0.0]) / np.sqrt(3)
+        plan = measurement_plan(psi, basis, np.eye(4))
+        assert list(plan.permutation[:4]) == [0, 1, 3, 14]
+        assert list(plan.permutation[4:]) == sorted(plan.permutation[4:])
         magnitudes = np.abs(plan.true_components[plan.permutation])
         assert np.all(np.diff(magnitudes) <= 1e-12)
 
     def test_components_match_bases(self, setup21):
         spin, basis, u_r = setup21
-        rho = pure_state_density(haar_random_state(spin, 8))
-        rotated = perturbed_basis(basis, u_r, 0.4)
-        plan = measurement_plan(rho, basis, rotated)
+        psi = haar_random_state(spin, 8)
+        w = unitary_fractional_power(u_r, 0.4)
+        plan = measurement_plan(psi, basis, w)
         assert plan.true_components.shape == (440,)
         assert not np.allclose(plan.true_components, plan.perturbed_components)
+        # Tr(rho W E_a W^dag) against the rotated basis built inline.
+        rotated_basis = w @ basis @ w.conj().T
+        expected = to_bloch(pure_state_density(psi), rotated_basis)
+        assert np.max(np.abs(plan.perturbed_components - expected)) < 1e-12
+
+    def test_stacked_states_match_single_calls(self, setup21):
+        spin, basis, u_r = setup21
+        psi = np.stack([haar_random_state(spin, 20 + i) for i in range(3)])
+        w = unitary_fractional_power(u_r, 0.3)
+        plan = measurement_plan(psi, basis, w)
+        assert plan.permutation.shape == (3, 440)
+        for i, state in enumerate(psi):
+            single = measurement_plan(state, basis, w)
+            np.testing.assert_array_equal(plan.permutation[i], single.permutation)
+            np.testing.assert_allclose(plan.true_components[i], single.true_components, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(plan.perturbed_components[i], single.perturbed_components, rtol=0, atol=1e-15)
 
 
 class TestIdealFidelityCurve:
     def test_unperturbed_curve_anchors_and_monotone(self, setup21):
         spin, basis, _ = setup21
-        rho = pure_state_density(haar_random_state(spin, 12))
-        series = ideal_fidelity_curve(rho, basis, basis)
-        assert len(series) == 441
-        assert series.values[0] == pytest.approx(1 / 21, abs=1e-12)
-        assert series.values[-1] == pytest.approx(1.0, abs=1e-10)
-        assert np.all(np.diff(series.values) >= -1e-15)
-        assert np.max(series.values) <= 1 + 1e-9
+        curve = ideal_fidelity_curve(haar_random_state(spin, 12), basis, np.eye(21))
+        assert curve.shape == (441,)
+        assert curve[0] == pytest.approx(1 / 21, abs=1e-12)
+        assert curve[-1] == pytest.approx(1.0, abs=1e-10)
+        assert np.all(np.diff(curve) >= -1e-15)
+        assert np.max(curve) <= 1 + 1e-9
 
     def test_rejects_mixed_state(self, setup21):
+        # A density matrix is no stack of unit vectors: the maximally mixed
+        # state's rows have norm 1/21.
         spin, basis, _ = setup21
         with pytest.raises(ValueError):
-            ideal_fidelity_curve(np.eye(21) / 21, basis, basis)
+            ideal_fidelity_curve(np.eye(21) / 21, basis, np.eye(21))
 
     def test_perturbed_curve_below_at_late_times(self, setup21):
         spin, basis, u_r = setup21
-        rho = pure_state_density(haar_random_state(spin, 13))
-        base = ideal_fidelity_curve(rho, basis, basis).values
+        psi = haar_random_state(spin, 13)
+        base = ideal_fidelity_curve(psi, basis, np.eye(21))
         for eta in (0.1, 0.3):
-            rotated = perturbed_basis(basis, u_r, eta)
-            curve = ideal_fidelity_curve(rho, basis, rotated).values
+            curve = ideal_fidelity_curve(psi, basis, unitary_fractional_power(u_r, eta))
             assert np.all(curve[51:] <= base[51:] + 1e-12)
 
     def test_continuity_in_eta(self, setup21):
         spin, basis, u_r = setup21
-        rho = pure_state_density(haar_random_state(spin, 14))
-        base = ideal_fidelity_curve(rho, basis, basis).values
+        psi = haar_random_state(spin, 14)
+        base = ideal_fidelity_curve(psi, basis, np.eye(21))
         gaps = []
         for eta in (1e-3, 1e-2):
-            rotated = perturbed_basis(basis, u_r, eta)
-            curve = ideal_fidelity_curve(rho, basis, rotated).values
+            curve = ideal_fidelity_curve(psi, basis, unitary_fractional_power(u_r, eta))
             gaps.append(np.max(np.abs(curve - base)))
             assert gaps[-1] < 10 * eta
         assert gaps[0] < gaps[1]
+
+    def test_stacked_states_match_single_calls(self, setup21):
+        spin, basis, u_r = setup21
+        psi = np.stack([haar_random_state(spin, 30 + i) for i in range(4)])
+        w = unitary_fractional_power(u_r, 0.3)
+        curves = ideal_fidelity_curve(psi, basis, w)
+        assert curves.shape == (4, 441)
+        for curve, state in zip(curves, psi):
+            np.testing.assert_allclose(curve, ideal_fidelity_curve(state, basis, w), rtol=0, atol=1e-15)

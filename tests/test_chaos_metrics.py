@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from chaostomo import (
+    FloquetPair,
     KickedTopParams,
     SpinParams,
     angular_momentum_ops,
+    error_unitary,
     floquet_pair,
     haar_random_unitary,
     incompatibility_otoc_form,
@@ -27,9 +29,12 @@ def spin10():
     return SpinParams(10)
 
 
+def pair_and_observable(spin, lam, dlam, alpha=1.4, obs_seed=5):
+    return floquet_pair(KickedTopParams(lam, alpha, dlam, spin)), initial_observable(spin, obs_seed)
+
+
 def trajectories(spin, lam, dlam, n, alpha=1.4, obs_seed=5):
-    pair = floquet_pair(KickedTopParams(lam, alpha, dlam, spin))
-    obs = initial_observable(spin, obs_seed)
+    pair, obs = pair_and_observable(spin, lam, dlam, alpha, obs_seed)
     return (
         operator_trajectory(obs, pair.true_perturbed, n),
         operator_trajectory(obs, pair.ideal, n),
@@ -121,22 +126,43 @@ class TestRelativeEntropy:
         assert np.isfinite(value) and value > 0
 
     def test_series_matched_dynamics(self, spin10):
-        traj_true, traj_ideal, _, _ = trajectories(spin10, 2.0, 0.0, 10)
-        series = relative_entropy_series(traj_true, traj_ideal)
+        pair, obs = pair_and_observable(spin10, 2.0, 0.0)
+        series = relative_entropy_series(obs, pair, 10)
+        assert len(series) == 11
         assert np.max(np.abs(series.values)) < 1e-9
         assert series.metric_name == "rel_entropy"
 
     @pytest.mark.parametrize("lam", [0.5, 7.0])
     def test_series_matches_per_step_loop(self, spin10, lam):
-        # Reference: regularize each operator, then the two-argument entropy.
-        traj_true, traj_ideal, _, _ = trajectories(spin10, lam, 0.01, 40)
+        # Reference: regularize each evolved operator, then the two-argument entropy.
+        traj_true, traj_ideal, pair, obs = trajectories(spin10, lam, 0.01, 40)
         loop = [relative_entropy(regularize(a), regularize(b)) for a, b in zip(traj_true, traj_ideal)]
-        series = relative_entropy_series(traj_true, traj_ideal)
+        series = relative_entropy_series(obs, pair, 40)
         np.testing.assert_allclose(series.values, loop, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 7, 25])
+    def test_series_matches_error_unitary_form(self, spin10, n):
+        # Conjugating both step-n operators by U^n leaves the entropy of the
+        # regularized O against E_n^dag reg(O) E_n, E_n the error unitary.
+        pair, obs = pair_and_observable(spin10, 3.0, 0.01)
+        reg = regularize(obs)
+        e = error_unitary(pair, n)
+        via_error = relative_entropy(reg, e.conj().T @ reg @ e)
+        series = relative_entropy_series(obs, pair, 25)
+        assert series.values[n] == pytest.approx(via_error, rel=1e-9, abs=1e-12)
+
+    def test_series_rejects_bad_input(self, spin10):
+        pair, obs = pair_and_observable(spin10, 3.0, 0.01)
+        with pytest.raises(ValueError):
+            relative_entropy_series(obs[:5, :5], pair, 3)
+        with pytest.raises(ValueError):
+            relative_entropy_series(obs, pair, -1)
+
     def test_series_regular_exceeds_chaotic(self, spin10):
-        regular = relative_entropy_series(*trajectories(spin10, 0.5, 0.01, 60)[:2])
-        chaotic = relative_entropy_series(*trajectories(spin10, 7.0, 0.01, 60)[:2])
+        pair, obs = pair_and_observable(spin10, 0.5, 0.01)
+        regular = relative_entropy_series(obs, pair, 60)
+        pair, obs = pair_and_observable(spin10, 7.0, 0.01)
+        chaotic = relative_entropy_series(obs, pair, 60)
         assert regular.values[60] > chaotic.values[60]
 
 
@@ -168,18 +194,23 @@ class TestOperatorIncompatibility:
 
 class TestUnitaryCovariance:
     def test_metrics_invariant_under_joint_conjugation(self, spin10):
-        traj_true, traj_ideal, _, _ = trajectories(spin10, 5.0, 0.01, 15)
+        # Conjugating O and both Floquet maps by u conjugates every evolved operator.
+        traj_true, traj_ideal, pair, obs = trajectories(spin10, 5.0, 0.01, 15)
         u = haar_random_unitary(spin10, 33)
-        rot_true = u.conj().T @ traj_true @ u
-        rot_ideal = u.conj().T @ traj_ideal @ u
+        rot_obs = u.conj().T @ obs @ u
+        rot_pair = FloquetPair(
+            ideal=u.conj().T @ pair.ideal @ u, true_perturbed=u.conj().T @ pair.true_perturbed @ u
+        )
+        rot_true = operator_trajectory(rot_obs, rot_pair.true_perturbed, 15)
+        rot_ideal = operator_trajectory(rot_obs, rot_pair.ideal, 15)
         before = (
             loschmidt_echo(traj_true, traj_ideal).values,
-            relative_entropy_series(traj_true, traj_ideal).values,
+            relative_entropy_series(obs, pair, 15).values,
             operator_incompatibility(traj_true, traj_ideal, 10.0).values,
         )
         after = (
             loschmidt_echo(rot_true, rot_ideal).values,
-            relative_entropy_series(rot_true, rot_ideal).values,
+            relative_entropy_series(rot_obs, rot_pair, 15).values,
             operator_incompatibility(rot_true, rot_ideal, 10.0).values,
         )
         for b, a in zip(before, after):

@@ -202,18 +202,20 @@ class TestRunExperiments:
         assert on_disk["code_version"]
 
     def test_byte_identical_rerun(self, tmp_path):
-        config_a = tiny_config("fidelity_sweep", tmp_path / "a", noise_sigma=0.02)
-        config_b = tiny_config("fidelity_sweep", tmp_path / "b", noise_sigma=0.02)
-        files_a = run(config_a).series_files
-        files_b = run(config_b).series_files
-        for fa, fb in zip(files_a, files_b):
-            with open(fa, "rb") as ha, open(fb, "rb") as hb:
-                a_bytes, b_bytes = ha.read(), hb.read()
-            # Output directory is the only differing config field and it is
-            # not serialized into the CSV body, only the config hash line.
-            a_lines = a_bytes.split(b"\n")
-            b_lines = b_bytes.split(b"\n")
-            assert a_lines[2:] == b_lines[2:]
+        for experiment in ("fidelity_sweep", "rel_entropy", "bloch_perturb"):
+            config_a = tiny_config(experiment, tmp_path / experiment / "a", noise_sigma=0.02)
+            config_b = tiny_config(experiment, tmp_path / experiment / "b", noise_sigma=0.02)
+            files_a = run(config_a).series_files
+            files_b = run(config_b).series_files
+            assert len(files_a) == len(files_b) > 0
+            for fa, fb in zip(files_a, files_b):
+                with open(fa, "rb") as ha, open(fb, "rb") as hb:
+                    a_bytes, b_bytes = ha.read(), hb.read()
+                # Output directory is the only differing config field and it is
+                # not serialized into the CSV body, only the config hash line.
+                a_lines = a_bytes.split(b"\n")
+                b_lines = b_bytes.split(b"\n")
+                assert a_lines[2:] == b_lines[2:], f"{experiment}: {fa}"
 
     def test_direct_config_is_validated(self, tmp_path):
         # run() validates what it is given: an unparsed config gets its noise

@@ -210,15 +210,16 @@ class TestUnitaryFractionalPower:
 
     def test_package_runs_without_scipy(self):
         # numpy is the only runtime dependency: blocking scipy must not stop
-        # the import or the one fractional-power caller.
+        # the import or the fractional power that rotates the Bloch analysis.
         code = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
             "import chaostomo as ct\n"
             "spin = ct.SpinParams(1)\n"
             "basis = ct.hermitian_basis(spin)\n"
-            "out = ct.perturbed_basis(basis, ct.haar_random_unitary(spin, 0), 0.3)\n"
-            "assert out.shape == basis.shape\n"
+            "w = ct.unitary_fractional_power(ct.haar_random_unitary(spin, 0), 0.3)\n"
+            "out = ct.ideal_fidelity_curve(ct.haar_random_state(spin, 1), basis, w)\n"
+            "assert out.shape == (spin.d**2,)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         done = subprocess.run(
