@@ -8,9 +8,13 @@ matrix (= D D^T for the Bloch design D), rho_ml = I/d + sum_k c_k O_k with
 c = G^+ M from a rank-revealing pseudoinverse. Projected gradient descent
 then minimizes sum_k Tr(O_k (rho - rho_ml))^2 over density matrices; the
 Euclidean projection is the eigenvalue projection onto the probability
-simplex (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)). A solve stops
-on a relative stall of the objective, or on an objective floor that, as the
-optimum is >= 0, certifies exactly fitted records (short or noiseless ones).
+simplex (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)), which is
+P_D(Y) = Y + (1 - Tr Y)/d I whenever that matrix is positive definite; rows
+flagged by their last projection test this per row with a Cholesky
+factorization before any eigensolver, so each row of a batch still equals its
+one-row call bit for bit. A solve stops on a relative stall of the objective,
+or on an objective floor that, as the optimum is >= 0, certifies exactly
+fitted records (short or noiseless ones).
 """
 
 from __future__ import annotations
@@ -194,13 +198,38 @@ def _simplex_project(w: np.ndarray) -> np.ndarray:
     return np.maximum(w + shifts[np.arange(len(w)), last][:, None], 0.0)
 
 
-def _project_feasible(x: np.ndarray, d: int) -> np.ndarray:
-    """Closest physical state (Frobenius norm) to each interleaved row's matrix."""
-    m = x.view(complex).reshape(-1, d, d)
-    m = (m + np.conjugate(np.swapaxes(m, -1, -2))) / 2
+def _spectral_project(m: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue projection of Hermitian matrices (r, d, d) onto density matrices,
+    and whether each clipped nothing (its least eigenvalue is above ``margin``)."""
     w, v = np.linalg.eigh(m)
     w_proj = _simplex_project(w)
-    return _interleaved((v * w_proj[:, None, :]) @ np.conjugate(np.swapaxes(v, -1, -2)))
+    return (v * w_proj[:, None, :]) @ np.conjugate(np.swapaxes(v, -1, -2)), w_proj[:, 0] > margin
+
+
+def _project_feasible(x: np.ndarray, d: int, interior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closest physical state (Frobenius norm) to each interleaved row's matrix Y,
+    and whether each projection clipped no eigenvalue. Flagged rows first try
+    Y + (1 - Tr Y)/d I, kept if Cholesky finds it positive definite by d^2 eps
+    (about its backward error, so pure states and other rank-deficient rows fail)."""
+    m = x.view(complex).reshape(-1, d, d)
+    m = (m + np.conjugate(np.swapaxes(m, -1, -2))) / 2
+    margin = d * d * np.finfo(float).eps
+    if not interior.any():
+        rho, interior = _spectral_project(m, margin)
+        return _interleaved(rho), interior
+    interior, eye = interior.copy(), np.eye(d)
+    for i in np.flatnonzero(interior):
+        shifted = m[i] + (1.0 - np.trace(m[i]).real) / d * eye
+        try:
+            np.linalg.cholesky(shifted - margin * eye)
+        except np.linalg.LinAlgError:
+            interior[i] = False
+        else:
+            m[i] = shifted
+    clip = np.flatnonzero(~interior)
+    if clip.size:
+        m[clip], interior[clip] = _spectral_project(m[clip], margin)
+    return _interleaved(m), interior
 
 
 def _physical(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,9 +281,13 @@ def _projected_gradient(
     objective falls to ``_FIT_TOL`` times its fitted-record energy
     sum_k Tr(O_k rho_ml)^2 plus rounding. The optimum is >= 0, so the
     objective bounds the suboptimality and the second rule certifies exactly
-    fitted rows, which a stall cannot end. The working arrays hold only the
-    rows still iterating, so stragglers iterate alone; with one table per
-    row, each row's arithmetic is that of a one-row call. Returns the
+    fitted rows, which a stall cannot end. Each row carries a flag, "the last
+    projection clipped nothing" (every row at the start, a warm start being
+    the previous record length's solution); a flagged row tries
+    P_D(Y) = Y + (1 - Tr Y)/d I, exact whenever that matrix is positive
+    definite, before eigh. The working arrays hold only the rows still
+    iterating, so stragglers iterate alone; with one table per row, each
+    row's arithmetic, flag included, is that of a one-row call. Returns the
     solutions as interleaved rows, batched like x_ml; raises
     ProjectionConvergenceError with their Bloch components and density
     matrices at the iteration cap.
@@ -262,7 +295,7 @@ def _projected_gradient(
     d = basis.shape[1]
     single = x_ml.ndim == 1
     x_ml = np.atleast_2d(x_ml)
-    x_out = _project_feasible(np.atleast_2d(x_start), d)
+    x_out, interior = _project_feasible(np.atleast_2d(x_start), d, np.ones(len(x_ml), dtype=bool))
 
     def solutions():
         return x_out[0] if single else x_out
@@ -276,7 +309,7 @@ def _projected_gradient(
     # Per-row tables are copied once, so the caller's stay intact, and then
     # compacted in place.
     tables = tables[rows] if per_row else tables
-    x, x_ml, lam = x_out[rows], x_ml[rows], lam[rows]
+    x, x_ml, lam, interior = x_out[rows], x_ml[rows], lam[rows], interior[rows]
     resid = _per_table(x - x_ml, tables.swapaxes(-1, -2))
     obj = np.einsum("bk,bk->b", resid, resid)
     fit = _per_table(x_ml - _mixed(d), tables.swapaxes(-1, -2))
@@ -290,7 +323,7 @@ def _projected_gradient(
     y, y_resid = x, resid
     momentum = np.zeros(len(x))
     for _ in range(max_iter):
-        x_new = _project_feasible(y - _per_table(y_resid, tables) / lam[:, None], d)
+        x_new, interior = _project_feasible(y - _per_table(y_resid, tables) / lam[:, None], d, interior)
         resid_new = _per_table(x_new - x_ml, tables.swapaxes(-1, -2))
         obj_new = np.einsum("bk,bk->b", resid_new, resid_new)
         momentum = np.where(obj_new > obj, 0.0, momentum + 1.0)
@@ -304,8 +337,8 @@ def _projected_gradient(
             keep = ~done
             if not keep.any():
                 return solutions()
-            rows, x, resid, obj, y, y_resid, momentum, x_ml, lam, obj_floor = (
-                a[keep] for a in (rows, x, resid, obj, y, y_resid, momentum, x_ml, lam, obj_floor)
+            rows, x, resid, obj, y, y_resid, momentum, interior, x_ml, lam, obj_floor = (
+                a[keep] for a in (rows, x, resid, obj, y, y_resid, momentum, interior, x_ml, lam, obj_floor)
             )
             if per_row:
                 for dst, src in enumerate(np.flatnonzero(keep)):

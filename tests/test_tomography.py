@@ -31,7 +31,7 @@ from chaostomo import (
 )
 from chaostomo.series import mean_and_stderr
 from chaostomo.spin_algebra import _interleaved
-from chaostomo.tomography import _operator_table, _simplex_project
+from chaostomo.tomography import _operator_table, _project_feasible, _simplex_project
 from oracles import qubit_boundary_grid_minimum
 
 
@@ -255,6 +255,51 @@ class TestSimplexProject:
         np.testing.assert_allclose(projected.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
+def hermitian_rows(seed, scales, d=5):
+    """Interleaved rows 0.9 I/d + s H for random Hermitian H, one per scale s:
+    small scales give positive definite matrices of trace 0.9, large ones
+    indefinite matrices."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((len(scales), d, d)) + 1j * rng.standard_normal((len(scales), d, d))
+    h = (a + np.conjugate(np.swapaxes(a, -1, -2))) / 2
+    return _interleaved(0.9 * np.eye(d) / d + np.asarray(scales)[:, None, None] * h)
+
+
+class TestProjectFeasible:
+    def test_flagged_definite_row_is_trace_shift(self):
+        x = hermitian_rows(13, [0.02])
+        y = x.view(complex).reshape(5, 5)
+        flagged, flag = _project_feasible(x, 5, np.array([True]))
+        unflagged, flag_eigh = _project_feasible(x, 5, np.array([False]))
+        np.testing.assert_array_equal(flagged, _interleaved(y + (1.0 - np.trace(y).real) / 5 * np.eye(5))[None])
+        np.testing.assert_allclose(flagged, unflagged, rtol=0, atol=1e-14)
+        assert flag.tolist() == flag_eigh.tolist() == [True]
+
+    @pytest.mark.parametrize("kind", ["indefinite", "pure"])
+    def test_flagged_boundary_rows_fall_back_to_eigh(self, spin5, kind):
+        if kind == "indefinite":
+            x = hermitian_rows(14, [0.3] * 20)
+        else:
+            x = _interleaved(pure_state_density(np.stack([haar_random_state(spin5, s) for s in range(20)])))
+        flagged, flag = _project_feasible(x, 5, np.ones(20, dtype=bool))
+        unflagged, flag_eigh = _project_feasible(x, 5, np.zeros(20, dtype=bool))
+        np.testing.assert_array_equal(flagged, unflagged)
+        assert not flag.any() and not flag_eigh.any()
+
+    def test_mixed_batch_rows_equal_one_row_calls(self, spin5):
+        x = np.concatenate([
+            hermitian_rows(15, [0.02, 0.3, 0.01]),
+            _interleaved(pure_state_density(haar_random_state(spin5, 3)))[None],
+        ])
+        interior = np.array([True, True, False, True])
+        batch, flag = _project_feasible(x, 5, interior)
+        assert flag.tolist() == [True, False, True, False]
+        for i in range(len(x)):
+            row, row_flag = _project_feasible(x[i:i + 1], 5, interior[i:i + 1])
+            np.testing.assert_array_equal(batch[i], row[0])
+            assert row_flag[0] == flag[i]
+
+
 class TestPsdProject:
     def test_feasible_point_unchanged(self, basis5):
         spin = SpinParams(0.5)
@@ -463,6 +508,32 @@ class TestEnsemble:
         matrix = fidelity_matrix(states, traj_true, traj_ideal, basis5, 0.0, 1)
         assert matrix[:, -1].min() >= 1 - 1e-6
         assert np.diff(matrix, axis=1).min() >= -1e-6
+
+    def test_interior_shortcut_matches_eigh_projection(self, spin5, basis5, monkeypatch):
+        # A Cholesky test that always fails sends every row through eigh and
+        # the simplex step; the unpatched sweeps take the shortcut on most rows.
+        spin = SpinParams(10)
+        pair = floquet_pair(KickedTopParams(7.0, 1.4, 0.01, spin))
+        obs = initial_observable(spin, 1)
+        traj = kicked_trajectory(spin5, n=40)
+        cases = [
+            (np.stack([haar_random_state(spin5, 70 + i) for i in range(3)]), traj, traj, basis5, 0.05, 2),
+            (np.stack([haar_random_state(spin, 520 + i) for i in range(4)]),
+             operator_trajectory(obs, pair.true_perturbed, 24), operator_trajectory(obs, pair.ideal, 24),
+             hermitian_basis(spin), 0.1, 1),
+        ]
+        cholesky, passed, failed = np.linalg.cholesky, [], []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: passed.append(cholesky(a)))
+        shortcut = [fidelity_matrix(*case) for case in cases]
+
+        def no_cholesky(a):
+            failed.append(a)
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        for case, fid in zip(cases, shortcut):
+            np.testing.assert_allclose(fidelity_matrix(*case), fid, rtol=0, atol=1e-12)
+        assert len(passed) > 100 and failed
 
     @staticmethod
     def _per_state_inputs(spin, n_steps=24):
