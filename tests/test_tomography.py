@@ -1,5 +1,6 @@
 """Tests for records, least-squares estimation, and the physicality projection."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,15 @@ from chaostomo import (
 )
 from chaostomo.series import mean_and_stderr
 from chaostomo.spin_algebra import _interleaved
-from chaostomo.tomography import _operator_table, _project_feasible, _simplex_project
+from chaostomo import tomography
+from chaostomo.tomography import (
+    DEFAULT_MAX_ITER,
+    _least_squares,
+    _operator_table,
+    _project_feasible,
+    _projected_gradient,
+    _simplex_project,
+)
 from oracles import qubit_boundary_grid_minimum
 
 
@@ -424,6 +433,65 @@ class TestReconstructAndFidelity:
         _, rho_bar = psd_project(r_ml, design.T @ design, basis5)
         np.testing.assert_allclose(est.r_ml, r_ml, rtol=0, atol=1e-9)
         np.testing.assert_allclose(est.rho_bar, rho_bar, rtol=0, atol=1e-9)
+
+
+class TestStepRule:
+    def test_cold_solve_adapts_step(self, monkeypatch):
+        # At d = 21 and k = 200 the minimizer is unique, and the curvature
+        # along the steps taken is far below lam_max: the adapted step needs
+        # far fewer projections for the same objective. Single draws vary
+        # (0.30-0.84 of the fixed-step count), so the count is summed over
+        # three draws.
+        spin = SpinParams(10)
+        basis = hermitian_basis(spin)
+        pair = floquet_pair(KickedTopParams(2.5, 1.4, 0.01, spin))
+        project, counted = tomography._project_feasible, []
+
+        def counting(x, d, interior):
+            counted.append(len(np.atleast_2d(x)))
+            return project(x, d, interior)
+
+        monkeypatch.setattr(tomography, "_project_feasible", counting)
+        adapted_rows = fixed_rows = 0
+        for seed in range(3):
+            obs = initial_observable(spin, seed)
+            traj_true = operator_trajectory(obs, pair.true_perturbed, 200)
+            traj_ideal = operator_trajectory(obs, pair.ideal, 200)
+            rec = simulate_record(pure_state_density(haar_random_state(spin, 300 + seed)), traj_true, 0.1, seed)
+            counted.clear()
+            adapted = reconstruct(rec, traj_ideal, basis).rho_bar
+            adapted_rows += sum(counted)
+            counted.clear()
+            table = _operator_table(traj_ideal[None, 1:], basis)
+            x_ml, lam_max = _least_squares(table, table @ table.swapaxes(-1, -2), rec.values[None], 21)
+            x = _projected_gradient(table, x_ml[0], lam_max, DEFAULT_MAX_ITER, x_ml[0], basis, adapt=False)
+            fixed_rows += sum(counted)
+            objective = [
+                np.sum((np.einsum("kij,ji->k", traj_ideal[1:], rho).real - rec.values) ** 2)
+                for rho in (adapted, x.view(complex).reshape(21, 21))
+            ]
+            assert objective[0] <= objective[1] * (1 + 1e-5)
+        assert adapted_rows <= 0.7 * fixed_rows
+
+    def test_sweep_keeps_fixed_step(self, spin5, basis5, monkeypatch):
+        # Below uniqueness the sweep's estimate is defined by its path, so
+        # fidelity_matrix never adapts the step.
+        calls = []
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments["adapt"])
+            return _projected_gradient(*args, **kwargs)
+
+        signature = inspect.signature(_projected_gradient)
+        monkeypatch.setattr(tomography, "_projected_gradient", spy)
+        traj = kicked_trajectory(spin5, n=12)
+        states = np.stack([haar_random_state(spin5, 50 + i) for i in range(2)])
+        fidelity_matrix(states, traj, traj, basis5, 0.05, 1)
+        states, traj_true, traj_ideal = TestEnsemble._per_state_inputs(spin5, n_steps=6)
+        fidelity_matrix(states, traj_true, traj_ideal, basis5, 0.05, 1)
+        assert len(calls) == 18 and not any(calls)
 
 
 class TestEnsemble:
