@@ -14,7 +14,8 @@ import hashlib
 import json
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,8 +40,6 @@ __all__ = [
     "read_series",
 ]
 
-EXPERIMENTS = ("fidelity_sweep", "loschmidt", "rel_entropy", "otoc", "bloch_perturb", "perturb_sweep")
-
 CSV_HEADER = "experiment,lambda,delta_lambda,eta,step,value,stderr"
 
 # Spawn keys for the master-seed stream tree. Per-state streams are keyed by
@@ -57,18 +56,20 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated run configuration with paper-default parameters."""
+    """Run configuration with paper-default parameters, validated when built
+    (``dataclasses.replace`` included). Each key's annotation is its type:
+    config files parse by it and every value is checked against it."""
 
     experiment: str = "fidelity_sweep"
     j: float = 10.0
     alpha: float = 1.4
-    lambda_list: tuple = (0.5, 2.5, 7.0)
+    lambda_list: tuple[float, ...] = (0.5, 2.5, 7.0)
     delta_lambda: float = 0.01
-    delta_lambda_list: tuple = (0.005, 0.01, 0.02)
+    delta_lambda_list: tuple[float, ...] = (0.005, 0.01, 0.02)
     n_steps: int = 200
     n_states: int = 100
-    noise_sigma: float | None = None  # resolved to 0.01 * j during validation
-    eta_list: tuple = (0.0, 0.1, 0.3)
+    noise_sigma: float | None = None  # resolved to 0.01 * j when the config is built
+    eta_list: tuple[float, ...] = (0.0, 0.1, 0.3)
     seed: int = 0
     output_dir: str = "out"
     # True swaps the roles: the record comes from the unperturbed map and the
@@ -77,6 +78,41 @@ class ExperimentConfig:
     # True draws a fresh initial observable per ensemble state instead of one
     # shared observable per sweep.
     resample_observable: bool = False
+
+    def __post_init__(self):
+        for name, (kind, nullable) in _KEYS.items():
+            value = getattr(self, name)
+            if not (_is_a(value, kind) or (nullable and value is None)):
+                raise ConfigError(f"{name}: must be {_TYPES[kind][1]}, got {value!r}")
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"experiment: {self.experiment!r} is not one of {EXPERIMENTS}")
+        try:
+            SpinParams(self.j)
+        except ValueError as exc:
+            raise ConfigError(f"j: {exc}") from None
+        for name in ("alpha", "delta_lambda"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name}: must be finite")
+        if self.n_steps < 1:
+            raise ConfigError(f"n_steps: must be >= 1, got {self.n_steps}")
+        if self.n_states < 1:
+            raise ConfigError(f"n_states: must be >= 1, got {self.n_states}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        for name in ("lambda_list", "delta_lambda_list", "eta_list"):
+            values = getattr(self, name)
+            if len(values) == 0:
+                raise ConfigError(f"{name}: must not be empty")
+            if not all(_is_a(v, float) and np.isfinite(v) for v in values):
+                raise ConfigError(f"{name}: all entries must be finite numbers")
+        if any(not 0.0 <= eta <= 1.0 for eta in self.eta_list):
+            raise ConfigError(f"eta_list: entries must lie in [0, 1], got {self.eta_list}")
+        if self.noise_sigma is None:
+            object.__setattr__(self, "noise_sigma", 0.01 * self.j)
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma: must be finite and >= 0, got {self.noise_sigma}")
+        if not self.output_dir:
+            raise ConfigError("output_dir: must not be empty")
 
 
 @dataclass
@@ -93,36 +129,34 @@ class RunManifest:
     duration_seconds: float | None = None
 
 
-_FLOAT_KEYS = ("j", "alpha", "delta_lambda", "noise_sigma")
-_INT_KEYS = ("n_steps", "n_states", "seed")
-_LIST_KEYS = ("lambda_list", "delta_lambda_list", "eta_list")
-_BOOL_KEYS = ("perturb_experimenter", "resample_observable")
-_STR_KEYS = ("experiment", "output_dir")
-_ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _LIST_KEYS + _BOOL_KEYS + _STR_KEYS
-# Types the numeric and list keys accept, bools excluded. Values are checked,
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"not a boolean: {raw!r}")
+    return raw.lower() in ("true", "1", "yes")
+
+
+# Per annotated type: the parser of its config-file text, and the label and
+# accepted types of the check that every value passes. Values are checked,
 # never converted, so a config's hash does not change.
-_KINDS = (("an integer", numbers.Integral, _INT_KEYS), ("a real number", numbers.Real, _FLOAT_KEYS),
-          ("a list", (tuple, list), _LIST_KEYS))
+_TYPES = {
+    str: (str, "a string", str),
+    bool: (_parse_bool, "a boolean", bool),
+    int: (int, "an integer", numbers.Integral),
+    float: (float, "a real number", numbers.Real),
+    tuple[float, ...]: (lambda raw: tuple(float(x) for x in raw.split(",") if x.strip()), "a list", (tuple, list)),
+}
 
 
-def _coerce(key: str, raw: str):
-    try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _LIST_KEYS:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
-        if key in _BOOL_KEYS:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return raw.strip()
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse value {raw!r} ({exc})") from None
+def _is_a(value, kind) -> bool:
+    # bool subclasses int, so it passes every numeric check unless excluded.
+    return isinstance(value, _TYPES[kind][2]) and (kind is bool or not isinstance(value, bool))
+
+
+# Each key's type and whether it may be None, from its annotation: X | None reads as X.
+_KEYS = {
+    name: (typing.get_args(hint)[0], True) if type(None) in typing.get_args(hint) else (hint, False)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
 
 
 def _read_config_file(path) -> dict:
@@ -135,50 +169,14 @@ def _read_config_file(path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _ALL_KEYS:
+        key, raw = key.strip(), raw.strip()
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        data[key] = _coerce(key, raw.strip())
+        try:
+            data[key] = _TYPES[_KEYS[key][0]][0](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: cannot parse value {raw!r} ({exc})") from None
     return data
-
-
-def _validate(config: ExperimentConfig) -> ExperimentConfig:
-    for kind, types, names in _KINDS:
-        for name in names:
-            value = getattr(config, name)
-            unset = name == "noise_sigma" and value is None
-            if not unset and (isinstance(value, bool) or not isinstance(value, types)):
-                raise ConfigError(f"{name}: must be {kind}, got {value!r}")
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment: {config.experiment!r} is not one of {EXPERIMENTS}")
-    try:
-        SpinParams(config.j)
-    except ValueError as exc:
-        raise ConfigError(f"j: {exc}") from None
-    for name in ("alpha", "delta_lambda"):
-        if not np.isfinite(getattr(config, name)):
-            raise ConfigError(f"{name}: must be finite")
-    if config.n_steps < 1:
-        raise ConfigError(f"n_steps: must be >= 1, got {config.n_steps}")
-    if config.n_states < 1:
-        raise ConfigError(f"n_states: must be >= 1, got {config.n_states}")
-    if config.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {config.seed}")
-    for name in ("lambda_list", "delta_lambda_list", "eta_list"):
-        values = getattr(config, name)
-        if len(values) == 0:
-            raise ConfigError(f"{name}: must not be empty")
-        if not all(isinstance(v, numbers.Real) and np.isfinite(v) for v in values):
-            raise ConfigError(f"{name}: all entries must be finite numbers")
-    if any(not 0.0 <= eta <= 1.0 for eta in config.eta_list):
-        raise ConfigError(f"eta_list: entries must lie in [0, 1], got {config.eta_list}")
-    if config.noise_sigma is None:
-        config = replace(config, noise_sigma=0.01 * config.j)
-    if not (np.isfinite(config.noise_sigma) and config.noise_sigma >= 0):
-        raise ConfigError(f"noise_sigma: must be finite and >= 0, got {config.noise_sigma}")
-    if not config.output_dir:
-        raise ConfigError("output_dir: must not be empty")
-    return config
 
 
 def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -189,14 +187,10 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """
     data = _read_config_file(path) if path is not None else {}
     for key, value in (overrides or {}).items():
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         data[key] = value
-    try:
-        config = ExperimentConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    return _validate(config)
+    return ExperimentConfig(**data)
 
 
 def _subseed(master: int, *key: int) -> np.random.SeedSequence:
@@ -390,12 +384,13 @@ def _run_bloch_perturb(config: ExperimentConfig, config_hash: str):
 
 _RUNNERS = {
     "fidelity_sweep": _run_fidelity,
-    "perturb_sweep": _run_fidelity,
     "loschmidt": _run_operator_metric,
     "rel_entropy": _run_operator_metric,
     "otoc": _run_operator_metric,
     "bloch_perturb": _run_bloch_perturb,
+    "perturb_sweep": _run_fidelity,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config: ExperimentConfig) -> RunManifest:
@@ -404,9 +399,8 @@ def run(config: ExperimentConfig) -> RunManifest:
     The manifest is written before the computation starts and finalized
     (duration, file list) afterwards. Identical config and seed produce
     byte-identical CSVs; only manifest timestamps differ between repeats.
-    The config is validated first, as by ``parse_config``.
+    The config was validated when it was built, parsed or not.
     """
-    config = _validate(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_hash = _config_hash(config)

@@ -1,5 +1,6 @@
 """Tests for config parsing, the experiment runner, CSV output, and the CLI."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -102,11 +103,35 @@ class TestParseConfig:
             ({"n_states": "3"}, "n_states"),
             ({"lambda_list": 0.5}, "lambda_list"),
             ({"j": "1"}, "j"),
+            ({"resample_observable": "false"}, "resample_observable"),
+            ({"resample_observable": 1}, "resample_observable"),
+            ({"perturb_experimenter": "true"}, "perturb_experimenter"),
+            ({"perturb_experimenter": 0}, "perturb_experimenter"),
+            ({"experiment": 3}, "experiment"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"lambda_list": (True,)}, "lambda_list"),
+            ({"delta_lambda_list": (0.01, False)}, "delta_lambda_list"),
+            ({"eta_list": [True]}, "eta_list"),
         ],
     )
     def test_out_of_range_named_in_error(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
             parse_config(overrides=overrides)
+
+    def test_file_roundtrip_of_every_key(self, tmp_path):
+        # Every field written as text parses back to the same config, so a
+        # key whose type has no parser fails here.
+        config = ExperimentConfig()
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(
+            f"{key} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+            for key, value in dataclasses.asdict(config).items()
+        ))
+        assert parse_config(path) == config
+
+    def test_replace_is_validated(self):
+        with pytest.raises(ConfigError, match="n_steps"):
+            dataclasses.replace(ExperimentConfig(), n_steps=0)
 
 
 class TestWriteSeries:
@@ -218,7 +243,7 @@ class TestRunExperiments:
                 assert a_lines[2:] == b_lines[2:], f"{experiment}: {fa}"
 
     def test_direct_config_is_validated(self, tmp_path):
-        # run() validates what it is given: an unparsed config gets its noise
+        # A config validates itself when built: an unparsed one gets its noise
         # default and writes the bytes of its parsed equivalent.
         fields = dict(experiment="fidelity_sweep", j=1.0, n_steps=4, n_states=2,
                       lambda_list=(1.0,), output_dir=str(tmp_path))
