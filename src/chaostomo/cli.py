@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .experiments import EXPERIMENTS, ConfigError, parse_config, run
+from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, parse_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,14 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    for key in ("experiment", "seed", "output_dir"):
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
-    if getattr(args, "lambda_list", None) is not None:
-        out["lambda_list"] = tuple(args.lambda_list)
-    return out
+    # Flags go in as argparse parsed them; the config stores each as its annotated type.
+    keys = (f.name for f in fields(ExperimentConfig))
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
 def main(argv=None) -> int:

@@ -58,7 +58,11 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Run configuration with paper-default parameters, validated when built
     (``dataclasses.replace`` included). Each key's annotation is its type:
-    config files parse by it and every value is checked against it."""
+    config files parse by it, every value is checked against it and then
+    stored as it (a tuple of floats for the list keys), so equal runs have
+    equal configs and config hashes. The resolved noise default is stored
+    like a set value: ``replace(config, j=2.0)`` keeps it, and
+    ``replace(config, j=2.0, noise_sigma=None)`` derives it from the new j."""
 
     experiment: str = "fidelity_sweep"
     j: float = 10.0
@@ -113,6 +117,12 @@ class ExperimentConfig:
             raise ConfigError(f"noise_sigma: must be finite and >= 0, got {self.noise_sigma}")
         if not self.output_dir:
             raise ConfigError("output_dir: must not be empty")
+        # Each value is stored as its annotated type, so equal runs get equal
+        # configs and hashes; only now, as a bool in a list would become 1.0.
+        for name, (kind, _) in _KEYS.items():
+            value = getattr(self, name)
+            value = tuple(map(float, value)) if typing.get_origin(kind) is tuple else kind(value)
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -136,8 +146,8 @@ def _parse_bool(raw: str) -> bool:
 
 
 # Per annotated type: the parser of its config-file text, and the label and
-# accepted types of the check that every value passes. Values are checked,
-# never converted, so a config's hash does not change.
+# accepted types of the check that every value passes before the config
+# stores it as its annotated type.
 _TYPES = {
     str: (str, "a string", str),
     bool: (_parse_bool, "a boolean", bool),

@@ -14,10 +14,9 @@ flagged by their last projection test this per row with a Cholesky
 factorization before any eigensolver, so each row of a batch still equals its
 one-row call bit for bit. A solve stops on a relative stall of the objective,
 or on an objective floor that, as the optimum is >= 0, certifies exactly
-fitted records (short or noiseless ones). Sweeps step by a fixed 1/lam_max,
-as below uniqueness their estimate is defined by the path; cold solves
-(``reconstruct``, ``psd_project``), unique at full record length, step by
-1/L, L the curvature along the last step kept in [lam_max/4, lam_max].
+fitted records (short or noiseless ones). The step follows from the start:
+warm-started sweeps and cold solves (``reconstruct``, ``psd_project``) take
+the two step rules given in ``_projected_gradient``.
 """
 
 from __future__ import annotations
@@ -268,9 +267,8 @@ def _projected_gradient(
     x_ml: np.ndarray,
     lam_max: np.ndarray,
     max_iter: int,
-    x_start: np.ndarray,
     basis: np.ndarray,
-    adapt: bool = False,
+    x_start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Minimize sum_k Tr(O_k (rho - rho_ml))^2 over density matrices, row by row.
 
@@ -278,17 +276,19 @@ def _projected_gradient(
     ``tables`` (g, k, 2d^2) the operators O_k as interleaved rows, one table
     shared by every row (g = 1) or one per row (g = b); ``lam_max`` (g,) the
     top eigenvalue of each table's Gram matrix Tr(O_k O_l); ``x_start`` the
-    rows to start from (projected first), batched like x_ml.
+    rows of a warm start (projected first), batched like x_ml, or None for a
+    cold solve from rho_ml.
     Projected gradient with step 1/L, Nesterov momentum, and a function
     restart whenever the (feasible) objective rises; the momentum cuts the
     iteration count by roughly the square root of the condition number
-    without changing the minimum. Without ``adapt``, L = lam_max: the
-    sweep's warm-started path, which defines its estimate below uniqueness,
-    stays fixed. With ``adapt`` (cold solves, whose minimizer is unique),
-    each row starts at L = lam_max/4; after each step s = x_new - y, L rises
-    to the measured curvature |T s|^2 / |s|^2 if that exceeds it and
-    otherwise shrinks by 0.9, kept in [lam_max/4, lam_max]. Both norms come
-    from arrays the loop holds, so adapting costs no matmul or projection.
+    without changing the minimum. The start selects L. A warm start (a
+    sweep's previous record length) keeps L = lam_max, so the path, which
+    defines the sweep's estimate below uniqueness, stays fixed. A cold solve
+    (whose minimizer is unique at full record length) starts each row at
+    L = lam_max/4; after each step s = x_new - y, L rises to the measured
+    curvature |T s|^2 / |s|^2 if that exceeds it and otherwise shrinks by
+    0.9, kept in [lam_max/4, lam_max]. Both norms come from arrays the loop
+    holds, so adapting costs no matmul or projection, and warm rows skip it.
     A row stops once its relative
     objective change falls below ``_PROJECTION_TOL`` (a stall) or its
     objective falls to ``_FIT_TOL`` times its fitted-record energy
@@ -307,8 +307,9 @@ def _projected_gradient(
     """
     d = basis.shape[1]
     single = x_ml.ndim == 1
+    cold = x_start is None
     x_ml = np.atleast_2d(x_ml)
-    x_out, interior = _project_feasible(np.atleast_2d(x_start), d, np.ones(len(x_ml), dtype=bool))
+    x_out, interior = _project_feasible(x_ml if cold else np.atleast_2d(x_start), d, np.ones(len(x_ml), bool))
 
     def solutions():
         return x_out[0] if single else x_out
@@ -335,12 +336,12 @@ def _projected_gradient(
     # iteration costs one matmul per direction against the table.
     y, y_resid = x, resid
     momentum = np.zeros(len(x))
-    lip = lam / 4 if adapt else lam
+    lip = lam / 4 if cold else lam
     for _ in range(max_iter):
         x_new, interior = _project_feasible(y - _per_table(y_resid, tables) / lip[:, None], d, interior)
         resid_new = _per_table(x_new - x_ml, tables.swapaxes(-1, -2))
         obj_new = np.einsum("bk,bk->b", resid_new, resid_new)
-        if adapt:
+        if cold:
             # Curvature |T s|^2 / |s|^2 of the step s = x_new - y, from arrays at hand.
             s, ts = x_new - y, resid_new - y_resid
             ss, curv = np.einsum("bi,bi->b", s, s), np.einsum("bk,bk->b", ts, ts)
@@ -393,7 +394,7 @@ def psd_project(
     keep = w > 0
     table = (v[:, keep] * np.sqrt(w[keep])).T @ _interleaved(basis)
     x_ml = _interleaved(from_bloch(r_ml, basis))
-    return _physical(_projected_gradient(table[None], x_ml, w[-1:], max_iter, x_ml, basis, adapt=True), basis)
+    return _physical(_projected_gradient(table[None], x_ml, w[-1:], max_iter, basis), basis)
 
 
 def fidelity(psi0: np.ndarray, rho: np.ndarray) -> float:
@@ -427,7 +428,7 @@ def reconstruct(
     # The one-row case of fidelity_matrix's least-squares step, solved cold.
     table = _operator_table(traj[None, 1:], basis)
     x_ml, lam_max = _least_squares(table, table @ table.swapaxes(-1, -2), record.values[None], basis.shape[1])
-    x = _projected_gradient(table, x_ml[0], lam_max, DEFAULT_MAX_ITER, x_ml[0], basis, adapt=True)
+    x = _projected_gradient(table, x_ml[0], lam_max, DEFAULT_MAX_ITER, basis)
     r_bar, rho_bar = _physical(x, basis)
     r_ml = to_bloch(x_ml.view(complex).reshape(basis.shape[1:]), basis)
     fid = fidelity(psi0, rho_bar) if psi0 is not None else None
@@ -504,7 +505,7 @@ def fidelity_matrix(
     fid = np.empty((n_batch, n_steps))
     for k in range(1, n_steps + 1):
         x_ml, lam_max = _least_squares(tables[:, :k], grams[:, :k, :k], records[:, :k], d)
-        x = _projected_gradient(tables[:, :k], x_ml, lam_max, max_iter, x, basis)
+        x = _projected_gradient(tables[:, :k], x_ml, lam_max, max_iter, basis, x)
         rho = x.view(complex).reshape(-1, d, d)
         overlap = np.einsum("bi,bij,bj->b", psi.conj(), rho, psi).real
         fid[:, k - 1] = np.clip(overlap, 0.0, 1.0)

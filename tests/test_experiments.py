@@ -24,7 +24,9 @@ from chaostomo import (
     run,
     write_series,
 )
+from chaostomo import cli
 from chaostomo.cli import main
+from chaostomo.experiments import _config_hash
 from chaostomo.series import mean_and_stderr
 
 
@@ -132,6 +134,34 @@ class TestParseConfig:
     def test_replace_is_validated(self):
         with pytest.raises(ConfigError, match="n_steps"):
             dataclasses.replace(ExperimentConfig(), n_steps=0)
+
+    def test_replace_keeps_resolved_noise_default(self):
+        # The resolved noise default is stored like a set value: replace()
+        # keeps it, and noise_sigma=None derives it again from the new j.
+        config = ExperimentConfig()
+        assert dataclasses.replace(config, j=2.0).noise_sigma == pytest.approx(0.1)
+        derived = dataclasses.replace(config, j=2.0, noise_sigma=None)
+        assert derived.noise_sigma == ExperimentConfig(j=2.0).noise_sigma == pytest.approx(0.02)
+
+    @pytest.mark.parametrize(
+        "key,spellings,kind",
+        [
+            ("j", (2, 2.0), float),
+            ("lambda_list", ([7], (7.0,)), tuple),
+            ("seed", (np.int64(3), 3), int),
+            ("n_states", (np.int64(4), 4), int),
+        ],
+    )
+    def test_spelling_gives_one_config(self, key, spellings, kind):
+        # Each value is stored as its annotated type, so two spellings of one
+        # run give equal, hashable configs with one config hash.
+        a, b = (parse_config(overrides={key: value}) for value in spellings)
+        assert a == b
+        assert _config_hash(a) == _config_hash(b)
+        assert hash(a) == hash(b)
+        for stored in (getattr(a, key), getattr(b, key)):
+            assert type(stored) is kind
+            assert kind is not tuple or all(type(v) is float for v in stored)
 
 
 class TestWriteSeries:
@@ -253,6 +283,15 @@ class TestRunExperiments:
         with pytest.raises(ConfigError, match="experiment"):
             run(ExperimentConfig(experiment="nope", output_dir=str(tmp_path)))
 
+    def test_numpy_integer_seed_runs(self, tmp_path):
+        # A numpy integer is stored as int: the run writes the bytes of the
+        # same run with a Python int, config hash included.
+        runs = [
+            [Path(p).read_bytes() for p in run(tiny_config("loschmidt", tmp_path, n_steps=4, seed=seed)).series_files]
+            for seed in (np.int64(5), 5)
+        ]
+        assert len(runs[0]) == 2 and runs[0] == runs[1]
+
     def test_observable_reuse_across_lambdas(self, tmp_path):
         # One shared observable per sweep: the step-0 rel_entropy values all
         # vanish and series for different kick strengths still differ later.
@@ -291,6 +330,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "loschmidt_lambda1.csv" in out
         assert (tmp_path / "out" / "manifest.json").exists()
+
+    def test_run_stores_lambda_as_floats(self, tmp_path, monkeypatch):
+        # argparse hands over a list; the config stores a tuple of floats.
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or run(config))
+        code = main(
+            [
+                "run", "--experiment", "loschmidt", "--lambda", "1", "2",
+                "--out", str(tmp_path / "out"), "--config", str(self._write(tmp_path)),
+            ]
+        )
+        assert code == 0
+        assert seen[0].lambda_list == (1.0, 2.0)
+        assert all(type(v) is float for v in seen[0].lambda_list)
 
     @staticmethod
     def _write(tmp_path):

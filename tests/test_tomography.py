@@ -464,7 +464,8 @@ class TestStepRule:
             counted.clear()
             table = _operator_table(traj_ideal[None, 1:], basis)
             x_ml, lam_max = _least_squares(table, table @ table.swapaxes(-1, -2), rec.values[None], 21)
-            x = _projected_gradient(table, x_ml[0], lam_max, DEFAULT_MAX_ITER, x_ml[0], basis, adapt=False)
+            # A given start is a warm start, which keeps the fixed step.
+            x = _projected_gradient(table, x_ml[0], lam_max, DEFAULT_MAX_ITER, basis, x_start=x_ml[0])
             fixed_rows += sum(counted)
             objective = [
                 np.sum((np.einsum("kij,ji->k", traj_ideal[1:], rho).real - rec.values) ** 2)
@@ -475,13 +476,13 @@ class TestStepRule:
 
     def test_sweep_keeps_fixed_step(self, spin5, basis5, monkeypatch):
         # Below uniqueness the sweep's estimate is defined by its path, so
-        # fidelity_matrix never adapts the step.
+        # fidelity_matrix starts every solve warm, which keeps the fixed step.
         calls = []
 
         def spy(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            calls.append(bound.arguments["adapt"])
+            calls.append(bound.arguments["x_start"] is not None)
             return _projected_gradient(*args, **kwargs)
 
         signature = inspect.signature(_projected_gradient)
@@ -491,7 +492,7 @@ class TestStepRule:
         fidelity_matrix(states, traj, traj, basis5, 0.05, 1)
         states, traj_true, traj_ideal = TestEnsemble._per_state_inputs(spin5, n_steps=6)
         fidelity_matrix(states, traj_true, traj_ideal, basis5, 0.05, 1)
-        assert len(calls) == 18 and not any(calls)
+        assert len(calls) == 18 and all(calls)
 
 
 class TestEnsemble:
