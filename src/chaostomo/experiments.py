@@ -289,7 +289,8 @@ def _ensemble_states(config: ExperimentConfig, spin: SpinParams) -> np.ndarray:
 
 # A resampled-observable ensemble is reconstructed in blocks of this many
 # states, which bounds the memory of a run: at d = 21 and 200 steps one state
-# holds about 6 MB in a batched call, and a block 97 MB (see fidelity_matrix).
+# holds about 6 MB in a batched call, and a block 97 MB (see fidelity_matrix),
+# 45 MB of it the block's trajectories under both maps, one call's output.
 _STATE_BLOCK = 16
 
 
@@ -298,13 +299,15 @@ def _run_fidelity(config: ExperimentConfig, config_hash: str):
     or per kick perturbation at the first kick strength (perturb_sweep).
 
     The record comes from the perturbed map and estimation uses the
-    unperturbed one (swapped when configured). The ensemble shares one
-    observable with noise stream (3, k): one ``fidelity_matrix`` call per
-    swept value, trajectories of shape (n + 1, d, d). When the observable is
-    resampled, state i gets observable (0, i) and noise stream (3, k, i, 0),
-    and the states go to ``fidelity_matrix`` in blocks of ``_STATE_BLOCK``
-    with trajectories of shape (n + 1, block, d, d), so a run holds about
-    97 MB for them at d = 21 and 200 steps whatever the ensemble size.
+    unperturbed one (swapped when configured); one ``operator_trajectory``
+    call steps both maps. The ensemble shares one observable with noise
+    stream (3, k): one ``fidelity_matrix`` call per swept value, trajectories
+    of shape (n + 1, d, d). When the observable is resampled, state i gets
+    observable (0, i) and noise stream (3, k, i, 0), and the states go to
+    ``fidelity_matrix`` in blocks of ``_STATE_BLOCK`` with trajectories of
+    shape (n + 1, block, d, d), the two map slices of one call's
+    (n + 1, 2, block, d, d) output, so a run holds about 97 MB for them at
+    d = 21 and 200 steps whatever the ensemble size.
     """
     spin = SpinParams(config.j)
     basis = hermitian_basis(spin)
@@ -319,7 +322,7 @@ def _run_fidelity(config: ExperimentConfig, config_hash: str):
     out = []
     for k, (lam, dlam, filename) in enumerate(swept):
         pair = floquet_pair(KickedTopParams(lam, config.alpha, dlam, spin))
-        maps = (pair.true_perturbed, pair.ideal)
+        maps = np.stack((pair.true_perturbed, pair.ideal))
         if config.perturb_experimenter:
             maps = maps[::-1]
         if config.resample_observable:
@@ -328,9 +331,9 @@ def _run_fidelity(config: ExperimentConfig, config_hash: str):
             )
         else:
             obs = initial_observable(spin, _subseed(config.seed, _KEY_OBSERVABLE))
-            trajs = [operator_trajectory(obs, u, config.n_steps) for u in maps]
+            trajs = operator_trajectory(obs, maps, config.n_steps)
             fid = fidelity_matrix(
-                states, *trajs, basis, config.noise_sigma, _subseed(config.seed, _KEY_NOISE, k)
+                states, trajs[:, 0], trajs[:, 1], basis, config.noise_sigma, _subseed(config.seed, _KEY_NOISE, k)
             )
         mean, stderr = mean_and_stderr(fid)
         params = _series_params(config, config_hash, **{"lambda": lam}, delta_lambda=dlam)
@@ -340,14 +343,11 @@ def _run_fidelity(config: ExperimentConfig, config_hash: str):
 
 def _resampled_fidelity(config, spin, basis, states, rows, maps, k) -> np.ndarray:
     """Fidelity rows of the states in ``rows``, each measured through its own
-    observable, for the (record, estimator) maps of swept value k."""
-    trajs = np.empty((len(maps), config.n_steps + 1, len(rows), spin.d, spin.d), dtype=complex)
-    for col, i in enumerate(rows):
-        obs = initial_observable(spin, _subseed(config.seed, _KEY_OBSERVABLE, i))
-        for traj, u in zip(trajs, maps):
-            traj[:, col] = operator_trajectory(obs, u, config.n_steps)
+    observable, for the stacked (record, estimator) maps of swept value k."""
+    obs = np.stack([initial_observable(spin, _subseed(config.seed, _KEY_OBSERVABLE, i)) for i in rows])
+    trajs = operator_trajectory(obs, maps[:, None], config.n_steps)
     noise = [_subseed(config.seed, _KEY_NOISE, k, i, 0) for i in rows]
-    return fidelity_matrix(states[rows.start : rows.stop], *trajs, basis, config.noise_sigma, noise)
+    return fidelity_matrix(states[rows.start : rows.stop], trajs[:, 0], trajs[:, 1], basis, config.noise_sigma, noise)
 
 
 def _run_operator_metric(config: ExperimentConfig, config_hash: str):
@@ -364,12 +364,11 @@ def _run_operator_metric(config: ExperimentConfig, config_hash: str):
         if config.experiment == "rel_entropy":
             series = relative_entropy_series(obs, pair, config.n_steps - 1)
         else:
-            traj_true = operator_trajectory(obs, pair.true_perturbed, config.n_steps - 1)
-            traj_ideal = operator_trajectory(obs, pair.ideal, config.n_steps - 1)
+            trajs = operator_trajectory(obs, np.stack((pair.true_perturbed, pair.ideal)), config.n_steps - 1)
             if config.experiment == "loschmidt":
-                series = loschmidt_echo(traj_true, traj_ideal)
+                series = loschmidt_echo(trajs[:, 0], trajs[:, 1])
             else:
-                series = operator_incompatibility(traj_true, traj_ideal, config.j)
+                series = operator_incompatibility(trajs[:, 0], trajs[:, 1], config.j)
         series.params = _series_params(
             config, config_hash, **{"lambda": lam}, delta_lambda=config.delta_lambda
         )
@@ -382,9 +381,9 @@ def _run_bloch_perturb(config: ExperimentConfig, config_hash: str):
     basis = hermitian_basis(spin)
     u_r = haar_random_unitary(spin, _subseed(config.seed, _KEY_BASIS_UNITARY))
     states = _ensemble_states(config, spin)
+    rotations = np.stack([unitary_fractional_power(u_r, eta) for eta in config.eta_list])
     out = []
-    for eta in config.eta_list:
-        curves = ideal_fidelity_curve(states, basis, unitary_fractional_power(u_r, eta))
+    for eta, curves in zip(config.eta_list, ideal_fidelity_curve(states, basis, rotations)):
         mean, stderr = mean_and_stderr(curves)
         params = _series_params(config, config_hash, eta=eta)
         series = MetricSeries("fidelity", np.arange(mean.size), mean, stderr, params)

@@ -62,20 +62,17 @@ def floquet_map(params: KickedTopParams, use_perturbed: bool = False) -> np.ndar
     exp(-i lam m^2 / 2j); the rotation factor exp(-i alpha Jx) comes from the
     eigendecomposition of Jx.
     """
-    lam = params.lam + (params.delta_lambda if use_perturbed else 0.0)
-    jx, _, _ = angular_momentum_ops(params.spin)
-    m = params.spin.z_projections()
-    kick = np.exp(-1j * lam * m**2 / (2.0 * params.spin.j))
-    rotation = spectral_function(jx, lambda x: np.exp(-1j * params.alpha * x))
-    return kick[:, None] * rotation
+    pair = floquet_pair(params)
+    return pair.true_perturbed if use_perturbed else pair.ideal
 
 
 def floquet_pair(params: KickedTopParams) -> FloquetPair:
-    """Both members of the ideal/perturbed pair for one parameter set."""
-    return FloquetPair(
-        ideal=floquet_map(params, use_perturbed=False),
-        true_perturbed=floquet_map(params, use_perturbed=True),
-    )
+    """Both members of the ideal/perturbed pair, sharing one rotation factor."""
+    jx, _, _ = angular_momentum_ops(params.spin)
+    m = params.spin.z_projections()
+    rotation = spectral_function(jx, lambda x: np.exp(-1j * params.alpha * x))
+    kicks = [np.exp(-1j * (params.lam + dlam) * m**2 / (2.0 * params.spin.j)) for dlam in (0.0, params.delta_lambda)]
+    return FloquetPair(ideal=kicks[0][:, None] * rotation, true_perturbed=kicks[1][:, None] * rotation)
 
 
 def initial_observable(p: SpinParams, seed) -> np.ndarray:
@@ -91,21 +88,24 @@ def operator_trajectory(obs: np.ndarray, u: np.ndarray, n_steps: int) -> np.ndar
 
     Computed by iterated conjugation (one sandwich per step) with
     re-Hermitization, which avoids the phase error of large matrix powers.
-    Returned as a stacked array of shape (n_steps + 1, d, d).
+    ``u`` may be a stack of maps (..., d, d) and ``obs`` a stack whose batch
+    shape broadcasts against it; all step in one loop, each slice bit for bit
+    its one-map call. Returned step-major: shape (n_steps + 1, *batch, d, d).
     """
     obs = np.asarray(obs, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    if obs.shape != u.shape or obs.ndim != 2 or obs.shape[0] != obs.shape[1]:
+    if obs.ndim < 2 or u.ndim < 2 or obs.shape[-2:] != u.shape[-2:] or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"shape mismatch: observable {obs.shape} vs unitary {u.shape}")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    steps = np.empty((n_steps + 1,) + obs.shape, dtype=complex)
+    batch = np.broadcast_shapes(obs.shape[:-2], u.shape[:-2])  # ValueError unless they broadcast
+    steps = np.empty((n_steps + 1, *batch) + u.shape[-2:], dtype=complex)
     steps[0] = obs
-    udag = u.conj().T
+    udag = u.conj().swapaxes(-1, -2)
     current = obs
     for k in range(1, n_steps + 1):
         current = udag @ current @ u
-        current = (current + current.conj().T) / 2
+        current = (current + current.conj().swapaxes(-1, -2)) / 2
         steps[k] = current
     return steps
 

@@ -84,6 +84,20 @@ class TestMeasurementPlan:
             np.testing.assert_allclose(plan.true_components[i], single.true_components, rtol=0, atol=1e-15)
             np.testing.assert_allclose(plan.perturbed_components[i], single.perturbed_components, rtol=0, atol=1e-15)
 
+    def test_stacked_rotations_match_single_calls(self, setup21):
+        # One order and one set of true components serve every rotation.
+        spin, basis, u_r = setup21
+        psi = np.stack([haar_random_state(spin, 40 + i) for i in range(3)])
+        rotations = np.stack([unitary_fractional_power(u_r, eta) for eta in (0.0, 0.1, 0.3)])
+        plan = measurement_plan(psi, basis, rotations)
+        assert plan.permutation.shape == (3, 440)
+        assert plan.perturbed_components.shape == (3, 3, 440)
+        for w, perturbed in zip(rotations, plan.perturbed_components):
+            single = measurement_plan(psi, basis, w)
+            np.testing.assert_array_equal(plan.permutation, single.permutation)
+            np.testing.assert_array_equal(plan.true_components, single.true_components)
+            np.testing.assert_array_equal(perturbed, single.perturbed_components)
+
 
 class TestIdealFidelityCurve:
     def test_unperturbed_curve_anchors_and_monotone(self, setup21):
@@ -129,3 +143,16 @@ class TestIdealFidelityCurve:
         assert curves.shape == (4, 441)
         for curve, state in zip(curves, psi):
             np.testing.assert_allclose(curve, ideal_fidelity_curve(state, basis, w), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n_states", [None, 4])
+    def test_stacked_rotations_match_single_calls(self, setup21, n_states):
+        spin, basis, u_r = setup21
+        if n_states is None:
+            psi = haar_random_state(spin, 50)
+        else:
+            psi = np.stack([haar_random_state(spin, 50 + i) for i in range(n_states)])
+        rotations = np.stack([unitary_fractional_power(u_r, eta) for eta in (0.0, 0.1, 0.3)])
+        curves = ideal_fidelity_curve(psi, basis, rotations)
+        assert curves.shape == (3,) + psi.shape[:-1] + (441,)
+        for curve, w in zip(curves, rotations):
+            np.testing.assert_array_equal(curve, ideal_fidelity_curve(psi, basis, w))

@@ -16,12 +16,18 @@ from chaostomo import (
     fidelity_matrix,
     floquet_pair,
     haar_random_state,
+    haar_random_unitary,
     hermitian_basis,
+    ideal_fidelity_curve,
     initial_observable,
+    loschmidt_echo,
+    operator_incompatibility,
     operator_trajectory,
     parse_config,
     read_series,
+    relative_entropy_series,
     run,
+    unitary_fractional_power,
     write_series,
 )
 from chaostomo import cli
@@ -407,5 +413,52 @@ class TestFidelityStreams:
         for k, ((lam, dlam), path) in enumerate(zip(swept, manifest.series_files)):
             _, cols = read_series(path)
             mean, stderr = self._expected(config, lam, dlam, k)
+            np.testing.assert_array_equal(cols["value"], mean)
+            np.testing.assert_array_equal(cols["stderr"], stderr)
+
+
+class TestOperatorStreams:
+    """The runner's operator-metric and Bloch CSVs equal a direct computation,
+    one map and one rotation at a time, from the documented spawn keys: shared
+    observable (0,), basis unitary (1,), states (2, i)."""
+
+    @staticmethod
+    def _key(config, *parts):
+        return np.random.SeedSequence(config.seed, spawn_key=parts)
+
+    def _expected(self, config, lam):
+        spin = SpinParams(config.j)
+        obs = initial_observable(spin, self._key(config, 0))
+        pair = floquet_pair(KickedTopParams(lam, config.alpha, config.delta_lambda, spin))
+        n = config.n_steps - 1
+        if config.experiment == "rel_entropy":
+            return relative_entropy_series(obs, pair, n).values
+        traj_true = operator_trajectory(obs, pair.true_perturbed, n)
+        traj_ideal = operator_trajectory(obs, pair.ideal, n)
+        if config.experiment == "loschmidt":
+            return loschmidt_echo(traj_true, traj_ideal).values
+        return operator_incompatibility(traj_true, traj_ideal, config.j).values
+
+    @pytest.mark.parametrize("experiment", ["loschmidt", "otoc", "rel_entropy"])
+    def test_operator_series_match_documented_streams(self, tmp_path, experiment):
+        config = tiny_config(experiment, tmp_path, j=2.0, n_steps=6)
+        manifest = run(config)
+        assert len(manifest.series_files) == len(config.lambda_list) == 2
+        for lam, path in zip(config.lambda_list, manifest.series_files):
+            _, cols = read_series(path)
+            np.testing.assert_array_equal(cols["step"], np.arange(config.n_steps))
+            np.testing.assert_array_equal(cols["value"], self._expected(config, lam))
+
+    def test_bloch_series_match_documented_streams(self, tmp_path):
+        config = tiny_config("bloch_perturb", tmp_path, j=2.0, n_states=3, eta_list=(0.1, 0.4))
+        manifest = run(config)
+        spin = SpinParams(config.j)
+        basis = hermitian_basis(spin)
+        u_r = haar_random_unitary(spin, self._key(config, 1))
+        states = np.stack([haar_random_state(spin, self._key(config, 2, i)) for i in range(config.n_states)])
+        assert len(manifest.series_files) == len(config.eta_list)
+        for eta, path in zip(config.eta_list, manifest.series_files):
+            _, cols = read_series(path)
+            mean, stderr = mean_and_stderr(ideal_fidelity_curve(states, basis, unitary_fractional_power(u_r, eta)))
             np.testing.assert_array_equal(cols["value"], mean)
             np.testing.assert_array_equal(cols["stderr"], stderr)

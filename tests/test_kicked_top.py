@@ -51,6 +51,19 @@ class TestFloquetMap:
         pair = floquet_pair(params(5.0, dlam=0.0))
         np.testing.assert_array_equal(pair.ideal, pair.true_perturbed)
 
+    def test_pair_members_match_kick_times_rotation(self):
+        # The pair shares one rotation factor; each map equals, bit for bit,
+        # its own kick column times a rotation factor built for it alone.
+        p = params(7.0, dlam=0.01)
+        jx, _, _ = angular_momentum_ops(p.spin)
+        m = p.spin.z_projections()
+        pair = floquet_pair(p)
+        for u, lam in ((pair.ideal, 7.0 + 0.0), (pair.true_perturbed, 7.0 + 0.01)):
+            rotation = spectral_function(jx, lambda x: np.exp(-1j * 1.4 * x))
+            kick = np.exp(-1j * lam * m**2 / (2.0 * p.spin.j))
+            np.testing.assert_array_equal(u, kick[:, None] * rotation)
+        np.testing.assert_array_equal(floquet_map(p, use_perturbed=True), pair.true_perturbed)
+
 
 class TestInitialObservable:
     def test_traceless_and_spectrum(self):
@@ -115,10 +128,46 @@ class TestOperatorTrajectory:
         with pytest.raises(ValueError):
             operator_trajectory(jx, floquet_map(params(1.0, j=1)), -1)
 
+    def test_stacked_maps_match_single_calls(self):
+        spin = SpinParams(10)
+        obs = initial_observable(spin, 4)
+        pair = floquet_pair(params(7.0, dlam=0.01))
+        maps = np.stack((pair.true_perturbed, pair.ideal))
+        traj = operator_trajectory(obs, maps, 25)
+        assert traj.shape == (26, 2, 21, 21)
+        for i, u in enumerate(maps):
+            np.testing.assert_array_equal(traj[:, i], operator_trajectory(obs, u, 25))
+
+    def test_stacked_observables_against_stacked_maps(self):
+        # Observables (b, d, d) against maps (2, 1, d, d): batch (2, b).
+        spin = SpinParams(2)
+        obs = np.stack([initial_observable(spin, 10 + i) for i in range(3)])
+        pair = floquet_pair(params(2.5, dlam=0.02, j=2))
+        maps = np.stack((pair.true_perturbed, pair.ideal))
+        traj = operator_trajectory(obs, maps[:, None], 12)
+        assert traj.shape == (13, 2, 3, 5, 5)
+        for i, u in enumerate(maps):
+            for b, o in enumerate(obs):
+                np.testing.assert_array_equal(traj[:, i, b], operator_trajectory(o, u, 12))
+
     def test_rejects_shape_mismatch(self):
         jx, _, _ = angular_momentum_ops(SpinParams(1))
         with pytest.raises(ValueError):
             operator_trajectory(jx, np.eye(5), 3)
+
+    @pytest.mark.parametrize(
+        "obs_shape,u_shape",
+        [
+            ((3, 3), (2, 5, 5)),  # matrix sizes differ under a stack
+            ((2, 3, 4), (3, 4)),  # the maps are not square
+            ((3,), (3, 3)),  # the observable is no matrix
+            ((3, 3, 3), (2, 3, 3)),  # batches (3,) and (2,) do not broadcast
+            ((4, 3, 3), (2, 3, 3, 3)),  # batches (4,) and (2, 3) do not broadcast
+        ],
+    )
+    def test_rejects_stack_mismatch(self, obs_shape, u_shape):
+        with pytest.raises(ValueError):
+            operator_trajectory(np.zeros(obs_shape), np.zeros(u_shape), 3)
 
 
 class TestErrorUnitary:
