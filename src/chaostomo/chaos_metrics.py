@@ -3,6 +3,11 @@
 normalized Hilbert-Schmidt overlap, relative entropy of the regularized
 operators, and the squared-commutator incompatibility in both its direct
 and error-unitary forms.
+
+The ``*_series`` functions take the observable and the Floquet pair and
+evolve only the observable's eigenvectors; the trajectory forms
+(``loschmidt_echo``, ``operator_incompatibility``) take two operator
+trajectories and are the definitions the series are checked against.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ from .series import MetricSeries
 
 __all__ = [
     "loschmidt_echo",
+    "loschmidt_echo_series",
     "regularize",
     "relative_entropy",
     "relative_entropy_series",
     "operator_incompatibility",
+    "incompatibility_series",
     "incompatibility_otoc_form",
 ]
 
@@ -49,17 +56,24 @@ def loschmidt_echo(traj_true: np.ndarray, traj_ideal: np.ndarray) -> MetricSerie
 
 def _eigh_hermitian(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectra and eigenvectors of the Hermitian parts of one matrix or a stack."""
-    return np.linalg.eigh((ops + np.conj(np.swapaxes(ops, -1, -2))) / 2)
+    return np.linalg.eigh((ops + _dag(ops)) / 2)
 
 
-def _regularized_spectrum(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum |w| / sum |w| of each operator, and its eigenvectors."""
-    w, v = _eigh_hermitian(ops)
+def _dag(ops: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(ops, -1, -2))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real**2 + z.imag**2
+
+
+def _regularized(w: np.ndarray) -> np.ndarray:
+    """Spectrum |w| / sum |w|, rejecting the zero operator."""
     aw = np.abs(w)
     total = aw.sum(axis=-1, keepdims=True)
     if np.any(total <= 0):
         raise ValueError("cannot regularize the zero operator")
-    return aw / total, v
+    return aw / total
 
 
 def regularize(obs: np.ndarray) -> np.ndarray:
@@ -68,20 +82,20 @@ def regularize(obs: np.ndarray) -> np.ndarray:
     Takes the absolute value of the spectrum and normalizes its sum; rejects
     the zero operator.
     """
-    p, v = _regularized_spectrum(np.asarray(obs))
-    return (v * p) @ v.conj().T
+    w, v = _eigh_hermitian(np.asarray(obs))
+    return (v * _regularized(w)) @ v.conj().T
 
 
-def _entropy(wa, va, wb, vb) -> np.ndarray:
-    """Tr(a log a) - Tr(a log b) from (stacked) spectra and eigenvectors, through
-    the overlaps |<a_i|b_k>|^2, after flooring eigenvalues at DEFAULT_ENTROPY_FLOOR and renormalizing."""
+def _entropy(wa: np.ndarray, wb: np.ndarray):
+    """Map from the overlaps Q = V_a^dag V_b of the eigenvectors of a and b
+    (one matrix or a stack) to Tr(a log a) - Tr(a log b), through |Q_ik|^2,
+    for spectra wa and wb floored at DEFAULT_ENTROPY_FLOOR and renormalized."""
     wa = np.maximum(wa, DEFAULT_ENTROPY_FLOOR)
     wa = wa / wa.sum(axis=-1, keepdims=True)
     wb = np.maximum(wb, DEFAULT_ENTROPY_FLOOR)
     wb = wb / wb.sum(axis=-1, keepdims=True)
-    overlaps = np.abs(np.conj(np.swapaxes(va, -1, -2)) @ vb) ** 2
-    cross = np.einsum("...i,...ik,...k->...", wa, overlaps, np.log(wb))
-    return np.sum(wa * np.log(wa), axis=-1) - cross
+    own, log_wb = np.sum(wa * np.log(wa), axis=-1), np.log(wb)
+    return lambda q: own - np.einsum("...i,...ik,...k->...", wa, np.abs(q) ** 2, log_wb)
 
 
 def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
@@ -92,33 +106,91 @@ def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
     logs, so exact zeros (common after regularization of rank-deficient
     observables) stay finite.
     """
-    return float(_entropy(*_eigh_hermitian(np.asarray(a)), *_eigh_hermitian(np.asarray(b))))
+    wa, va = _eigh_hermitian(np.asarray(a))
+    wb, vb = _eigh_hermitian(np.asarray(b))
+    return float(_entropy(wa, wb)(_dag(va) @ vb))
+
+
+def _reducer(metric: str, w: np.ndarray, spin_j: float):
+    """Map from one step's overlaps Q, shape (L, d, d), to the L values of
+    ``metric`` for an observable with spectrum w. The sums are einsums, not
+    matrix-vector products, whose BLAS rounding depends on L."""
+    if metric == "loschmidt":
+        norm = w @ w
+        if norm <= 0:
+            raise ValueError("initial observable has zero Hilbert-Schmidt norm")
+        weights = np.outer(w, w) / norm
+        return lambda q: np.einsum("ab,...ab->...", weights, _abs2(q))
+    if metric == "otoc":
+        gaps = (w[:, None] - w) ** 2 / (2.0 * spin_j**4)
+        return lambda q: np.einsum("ab,...ab->...", gaps, _abs2((q * w) @ _dag(q)))
+    p = _regularized(w)
+    return _entropy(p, p)
+
+
+def _operator_series(metric: str, obs: np.ndarray, pairs, n_steps: int, spin_j: float = 1.0) -> np.ndarray:
+    """Values of ``metric`` ("loschmidt", "otoc" or "rel_entropy") at steps
+    0..n_steps for each (true, ideal) Floquet pair of ``pairs``, shape
+    (len(pairs), n_steps + 1); each row is bit for bit its one-pair call.
+
+    Both evolved operators U^dag^n O U^n = V_n W V_n^dag keep the spectrum
+    W = diag(w) of O and carry its eigenvectors V as V_n = U^dag^n V, so O is
+    diagonalized once and the eigenvectors of all 2L maps move with one
+    stacked product per step. Each metric depends on the two operators only
+    through the overlaps Q_n = V_t,n^dag V_i,n, formed with one more product
+    and reduced at once, so no trajectory is stored:
+    echo Tr(O_n O'_n) / Tr(O^2) = sum_ab w_a w_b |Q_ab|^2 / sum_a w_a^2;
+    OTOC ||[O_n, O'_n]||^2 / 2 j^4 = sum_ab (w_a - w_b)^2 |(Q W Q^dag)_ab|^2
+    / 2 j^4, the commutator conjugated by V_t,n, a sum of non-negative terms;
+    relative entropy of the regularized operators from |Q_ab|^2.
+    """
+    obs = np.asarray(obs, dtype=complex)
+    maps = np.stack([np.stack([pair.true_perturbed, pair.ideal]) for pair in pairs])
+    if obs.ndim != 2 or obs.shape != maps.shape[2:]:
+        raise ValueError(f"shape mismatch: observable {obs.shape} vs unitaries {maps.shape[2:]}")
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    w, v = _eigh_hermitian(obs)
+    reduce = _reducer(metric, w, spin_j)
+    maps_dag = _dag(maps)
+    vecs = np.empty(maps.shape, dtype=complex)
+    vecs[...] = v
+    values = np.empty((n_steps + 1, len(maps)))
+    for k in range(n_steps + 1):
+        if k:
+            vecs = maps_dag @ vecs
+        values[k] = reduce(_dag(vecs[:, 0]) @ vecs[:, 1])
+    return values.T
+
+
+def loschmidt_echo_series(obs: np.ndarray, pair: FloquetPair, n_steps: int) -> MetricSeries:
+    """Echo Tr(O_n O'_n) / Tr(O^2) at steps 0..n_steps from the observable and
+    the Floquet pair, through the eigenvector overlaps of ``_operator_series``;
+    agrees with ``loschmidt_echo`` on the two trajectories to rounding."""
+    values = _operator_series("loschmidt", obs, [pair], n_steps)[0]
+    return MetricSeries("loschmidt", np.arange(n_steps + 1), values)
 
 
 def relative_entropy_series(obs: np.ndarray, pair: FloquetPair, n_steps: int) -> MetricSeries:
     """Relative entropy of the regularized true vs ideal operator at steps
     0..n_steps, with spectra floored at 1e-12 (``DEFAULT_ENTROPY_FLOOR``).
 
-    Both evolved operators U^dag^n O U^n keep the regularized spectrum p of O
-    and carry its eigenvectors V as U^dag^n V, so O is diagonalized once and
-    only the eigenvectors are propagated, one stacked product per step. The
-    overlaps between the two eigenbases are |V^dag E_n^dag V|^2 with E_n the
-    step-n ``error_unitary(pair, n)``.
+    Both evolved operators keep the regularized spectrum p = |w| / sum |w| of
+    O, so the entropy follows from the eigenvector overlaps of
+    ``_operator_series``, |Q_n|^2 = |V^dag E_n^dag V|^2 with E_n the step-n
+    ``error_unitary(pair, n)``.
     """
-    obs = np.asarray(obs, dtype=complex)
-    maps = np.stack([pair.true_perturbed, pair.ideal])
-    if obs.ndim != 2 or obs.shape != maps.shape[1:]:
-        raise ValueError(f"shape mismatch: observable {obs.shape} vs unitaries {maps.shape[1:]}")
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    p, v = _regularized_spectrum(obs)
-    vecs = np.empty((n_steps + 1, 2) + obs.shape, dtype=complex)
-    vecs[0] = v
-    maps_dag = np.conj(np.swapaxes(maps, -1, -2))
-    for k in range(1, n_steps + 1):
-        vecs[k] = maps_dag @ vecs[k - 1]
-    values = _entropy(p, vecs[:, 0], p, vecs[:, 1])
-    return MetricSeries("rel_entropy", np.arange(len(values)), values)
+    values = _operator_series("rel_entropy", obs, [pair], n_steps)[0]
+    return MetricSeries("rel_entropy", np.arange(n_steps + 1), values)
+
+
+def incompatibility_series(obs: np.ndarray, pair: FloquetPair, n_steps: int, spin_j: float) -> MetricSeries:
+    """Squared commutator ||[O_n, O'_n]||^2 / 2 j^4 at steps 0..n_steps from
+    the observable and the Floquet pair, through the eigenvector overlaps of
+    ``_operator_series``: non-negative at every step, and equal to
+    ``operator_incompatibility`` on the two trajectories to rounding."""
+    values = _operator_series("otoc", obs, [pair], n_steps, spin_j)[0]
+    return MetricSeries("otoc", np.arange(n_steps + 1), values)
 
 
 def operator_incompatibility(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bloch_analysis import ideal_fidelity_curve
-from .chaos_metrics import loschmidt_echo, operator_incompatibility, relative_entropy_series
+from .chaos_metrics import _operator_series
 from .kicked_top import KickedTopParams, floquet_pair, initial_observable, operator_trajectory
 from .series import MetricSeries, mean_and_stderr
 from .spin_algebra import SpinParams, haar_random_state, haar_random_unitary, hermitian_basis, unitary_fractional_power
@@ -109,6 +109,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must not be empty")
             if not all(_is_a(v, float) and np.isfinite(v) for v in values):
                 raise ConfigError(f"{name}: all entries must be finite numbers")
+            # Each swept value names its CSV by its :g form, so equal forms
+            # would write one file twice.
+            labels = [f"{v:g}" for v in values]
+            clashes = [v for v, label in zip(values, labels) if labels.count(label) > 1]
+            if clashes:
+                raise ConfigError(f"{name}: entries {clashes} collide in their :g form, which names their CSVs")
         if any(not 0.0 <= eta <= 1.0 for eta in self.eta_list):
             raise ConfigError(f"eta_list: entries must lie in [0, 1], got {self.eta_list}")
         if self.noise_sigma is None:
@@ -235,15 +241,13 @@ def write_series(series: MetricSeries, path) -> None:
         f"# units: {units}",
         CSV_HEADER,
     ]
-    experiment = p.get("experiment", "")
-    lam = _format_value(p.get("lambda"))
-    dlam = _format_value(p.get("delta_lambda"))
-    eta = _format_value(p.get("eta"))
-    for i, step in enumerate(series.times):
-        stderr = "" if series.stderr is None else f"{series.stderr[i]:.17g}"
-        lines.append(
-            f"{experiment},{lam},{dlam},{eta},{step},{series.values[i]:.17g},{stderr}"
-        )
+    prefix = ",".join([p.get("experiment", "")] + [_format_value(p.get(k)) for k in ("lambda", "delta_lambda", "eta")])
+    rows = zip(series.times.tolist(), series.values.tolist())
+    if series.stderr is None:
+        lines += [f"{prefix},{step},{value:.17g}," for step, value in rows]
+    else:
+        errs = series.stderr.tolist()
+        lines += [f"{prefix},{step},{value:.17g},{err:.17g}" for (step, value), err in zip(rows, errs)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -319,6 +323,8 @@ def _run_fidelity(config: ExperimentConfig, config_hash: str):
         swept = [(lam, config.delta_lambda, f"fidelity_lambda{lam:g}.csv") for lam in config.lambda_list]
     n = len(states)
     blocks = [range(start, min(start + _STATE_BLOCK, n)) for start in range(0, n, _STATE_BLOCK)]
+    if not config.resample_observable:
+        obs = initial_observable(spin, _subseed(config.seed, _KEY_OBSERVABLE))
     out = []
     for k, (lam, dlam, filename) in enumerate(swept):
         pair = floquet_pair(KickedTopParams(lam, config.alpha, dlam, spin))
@@ -330,7 +336,6 @@ def _run_fidelity(config: ExperimentConfig, config_hash: str):
                 [_resampled_fidelity(config, spin, basis, states, rows, maps, k) for rows in blocks]
             )
         else:
-            obs = initial_observable(spin, _subseed(config.seed, _KEY_OBSERVABLE))
             trajs = operator_trajectory(obs, maps, config.n_steps)
             fid = fidelity_matrix(
                 states, trajs[:, 0], trajs[:, 1], basis, config.noise_sigma, _subseed(config.seed, _KEY_NOISE, k)
@@ -351,27 +356,25 @@ def _resampled_fidelity(config, spin, basis, states, rows, maps, k) -> np.ndarra
 
 
 def _run_operator_metric(config: ExperimentConfig, config_hash: str):
-    """Deterministic trajectory metrics, one series per kick strength.
+    """Deterministic operator metrics, one series per kick strength.
 
-    Steps run 0 .. n_steps-1 so every CSV has exactly n_steps rows while the
-    step-0 anchor value (1 for the echo, 0 for the others) stays visible.
+    One ``_operator_series`` call evolves the shared observable's
+    eigenvectors under the true and ideal map of every kick strength at once
+    and reduces their overlaps step by step, so no operator trajectory is
+    built; each series is bit for bit its one-pair call
+    (``loschmidt_echo_series``, ``relative_entropy_series`` or
+    ``incompatibility_series``). Steps run 0 .. n_steps-1 so every CSV has
+    exactly n_steps rows while the step-0 anchor value (1 for the echo, 0 for
+    the others) stays visible.
     """
     spin = SpinParams(config.j)
     obs = initial_observable(spin, _subseed(config.seed, _KEY_OBSERVABLE))
+    pairs = [floquet_pair(KickedTopParams(lam, config.alpha, config.delta_lambda, spin)) for lam in config.lambda_list]
+    values = _operator_series(config.experiment, obs, pairs, config.n_steps - 1, config.j)
     out = []
-    for lam in config.lambda_list:
-        pair = floquet_pair(KickedTopParams(lam, config.alpha, config.delta_lambda, spin))
-        if config.experiment == "rel_entropy":
-            series = relative_entropy_series(obs, pair, config.n_steps - 1)
-        else:
-            trajs = operator_trajectory(obs, np.stack((pair.true_perturbed, pair.ideal)), config.n_steps - 1)
-            if config.experiment == "loschmidt":
-                series = loschmidt_echo(trajs[:, 0], trajs[:, 1])
-            else:
-                series = operator_incompatibility(trajs[:, 0], trajs[:, 1], config.j)
-        series.params = _series_params(
-            config, config_hash, **{"lambda": lam}, delta_lambda=config.delta_lambda
-        )
+    for lam, row in zip(config.lambda_list, values):
+        params = _series_params(config, config_hash, **{"lambda": lam}, delta_lambda=config.delta_lambda)
+        series = MetricSeries(config.experiment, np.arange(config.n_steps), row, params=params)
         out.append((series, f"{config.experiment}_lambda{lam:g}.csv"))
     return out
 

@@ -19,9 +19,9 @@ from chaostomo import (
     haar_random_unitary,
     hermitian_basis,
     ideal_fidelity_curve,
+    incompatibility_series,
     initial_observable,
-    loschmidt_echo,
-    operator_incompatibility,
+    loschmidt_echo_series,
     operator_trajectory,
     parse_config,
     read_series,
@@ -137,6 +137,21 @@ class TestParseConfig:
         ))
         assert parse_config(path) == config
 
+    @pytest.mark.parametrize(
+        "key,values,named",
+        [
+            ("lambda_list", (2.5, 2.5000001), "[2.5, 2.5000001]"),
+            ("delta_lambda_list", (0.01, 0.02, 0.01), "[0.01, 0.01]"),
+            ("eta_list", (0.1, 0.1), "[0.1, 0.1]"),
+        ],
+    )
+    def test_values_sharing_a_file_name_rejected(self, key, values, named):
+        # Each swept value names its CSV by its :g form; equal forms would
+        # overwrite one file and list it twice in the manifest.
+        with pytest.raises(ConfigError, match=key) as info:
+            parse_config(overrides={key: values})
+        assert named in str(info.value)
+
     def test_replace_is_validated(self):
         with pytest.raises(ConfigError, match="n_steps"):
             dataclasses.replace(ExperimentConfig(), n_steps=0)
@@ -200,6 +215,30 @@ class TestWriteSeries:
         assert all(line.endswith(",") for line in lines[5:])
         _, cols = read_series(path)
         assert np.all(np.isnan(cols["stderr"]))
+
+    def test_exact_bytes(self, tmp_path):
+        # 17 significant digits, NaN, an exponent form, empty columns for unset
+        # parameters, and an empty stderr column for a deterministic series.
+        params = {"experiment": "loschmidt", "lambda": 0.5, "delta_lambda": 0.01, "seed": 3, "config_hash": "ab"}
+        values = [1.0, float("nan"), 1e-20]
+        write_series(MetricSeries("loschmidt", np.arange(3), values, None, params), tmp_path / "a.csv")
+        stderr = [0.1, 2.5e-7, float("nan")]
+        params = {"experiment": "bloch_perturb", "eta": 0.3, "seed": 0, "config_hash": "cd"}
+        write_series(MetricSeries("fidelity", np.arange(1, 4), values, stderr, params), tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (
+            b"# seed: 3\n# config_hash: ab\n# metric: loschmidt\n# units: dimensionless\n"
+            b"experiment,lambda,delta_lambda,eta,step,value,stderr\n"
+            b"loschmidt,0.5,0.01,,0,1,\n"
+            b"loschmidt,0.5,0.01,,1,nan,\n"
+            b"loschmidt,0.5,0.01,,2,9.9999999999999995e-21,\n"
+        )
+        assert (tmp_path / "b.csv").read_bytes() == (
+            b"# seed: 0\n# config_hash: cd\n# metric: fidelity\n# units: dimensionless\n"
+            b"experiment,lambda,delta_lambda,eta,step,value,stderr\n"
+            b"bloch_perturb,,,0.29999999999999999,1,1,0.10000000000000001\n"
+            b"bloch_perturb,,,0.29999999999999999,2,nan,2.4999999999999999e-07\n"
+            b"bloch_perturb,,,0.29999999999999999,3,9.9999999999999995e-21,nan\n"
+        )
 
 
 class TestRunExperiments:
@@ -419,8 +458,10 @@ class TestFidelityStreams:
 
 class TestOperatorStreams:
     """The runner's operator-metric and Bloch CSVs equal a direct computation,
-    one map and one rotation at a time, from the documented spawn keys: shared
-    observable (0,), basis unitary (1,), states (2, i)."""
+    one Floquet pair and one rotation at a time, from the documented spawn
+    keys: shared observable (0,), basis unitary (1,), states (2, i). The
+    operator metrics' reference is the one-pair series, which
+    ``TestOperatorSeries`` checks against the trajectory forms."""
 
     @staticmethod
     def _key(config, *parts):
@@ -433,11 +474,9 @@ class TestOperatorStreams:
         n = config.n_steps - 1
         if config.experiment == "rel_entropy":
             return relative_entropy_series(obs, pair, n).values
-        traj_true = operator_trajectory(obs, pair.true_perturbed, n)
-        traj_ideal = operator_trajectory(obs, pair.ideal, n)
         if config.experiment == "loschmidt":
-            return loschmidt_echo(traj_true, traj_ideal).values
-        return operator_incompatibility(traj_true, traj_ideal, config.j).values
+            return loschmidt_echo_series(obs, pair, n).values
+        return incompatibility_series(obs, pair, n, config.j).values
 
     @pytest.mark.parametrize("experiment", ["loschmidt", "otoc", "rel_entropy"])
     def test_operator_series_match_documented_streams(self, tmp_path, experiment):
