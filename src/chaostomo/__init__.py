@@ -42,10 +42,9 @@ from .tomography import (
 )
 from .chaos_metrics import (
     incompatibility_otoc_form,
-    incompatibility_series,
     loschmidt_echo,
-    loschmidt_echo_series,
     operator_incompatibility,
+    operator_series,
     regularize,
     relative_entropy,
     relative_entropy_series,

@@ -4,10 +4,11 @@ normalized Hilbert-Schmidt overlap, relative entropy of the regularized
 operators, and the squared-commutator incompatibility in both its direct
 and error-unitary forms.
 
-The ``*_series`` functions take the observable and the Floquet pair and
-evolve only the observable's eigenvectors; the trajectory forms
-(``loschmidt_echo``, ``operator_incompatibility``) take two operator
-trajectories and are the definitions the series are checked against.
+``operator_series`` (and ``relative_entropy_series``, its one-pair entropy)
+takes the observable and Floquet pairs and evolves only the observable's
+eigenvectors; the trajectory forms (``loschmidt_echo``,
+``operator_incompatibility``) take two operator trajectories and are the
+definitions the series are checked against.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ import numpy as np
 
 from .kicked_top import FloquetPair, error_unitary
 from .series import MetricSeries
+from .spin_algebra import spectral_function
 
 __all__ = [
     "loschmidt_echo",
-    "loschmidt_echo_series",
+    "operator_series",
     "regularize",
     "relative_entropy",
     "relative_entropy_series",
     "operator_incompatibility",
-    "incompatibility_series",
     "incompatibility_otoc_form",
 ]
 
@@ -82,8 +83,7 @@ def regularize(obs: np.ndarray) -> np.ndarray:
     Takes the absolute value of the spectrum and normalizes its sum; rejects
     the zero operator.
     """
-    w, v = _eigh_hermitian(np.asarray(obs))
-    return (v * _regularized(w)) @ v.conj().T
+    return spectral_function(obs, _regularized)
 
 
 def _entropy(wa: np.ndarray, wb: np.ndarray):
@@ -124,14 +124,18 @@ def _reducer(metric: str, w: np.ndarray, spin_j: float):
     if metric == "otoc":
         gaps = (w[:, None] - w) ** 2 / (2.0 * spin_j**4)
         return lambda q: np.einsum("ab,...ab->...", gaps, _abs2((q * w) @ _dag(q)))
-    p = _regularized(w)
-    return _entropy(p, p)
+    if metric == "rel_entropy":
+        p = _regularized(w)
+        return _entropy(p, p)
+    raise ValueError(f"metric must be 'loschmidt', 'otoc' or 'rel_entropy', got {metric!r}")
 
 
-def _operator_series(metric: str, obs: np.ndarray, pairs, n_steps: int, spin_j: float = 1.0) -> np.ndarray:
+def operator_series(metric: str, obs: np.ndarray, pairs, n_steps: int, spin_j: float = 1.0) -> np.ndarray:
     """Values of ``metric`` ("loschmidt", "otoc" or "rel_entropy") at steps
     0..n_steps for each (true, ideal) Floquet pair of ``pairs``, shape
-    (len(pairs), n_steps + 1); each row is bit for bit its one-pair call.
+    (len(pairs), n_steps + 1); each row is bit for bit its one-pair call, and
+    agrees with the trajectory form of its metric to rounding. ``spin_j``
+    scales the OTOC only; any other metric name is a ValueError.
 
     Both evolved operators U^dag^n O U^n = V_n W V_n^dag keep the spectrum
     W = diag(w) of O and carry its eigenvectors V as V_n = U^dag^n V, so O is
@@ -163,34 +167,17 @@ def _operator_series(metric: str, obs: np.ndarray, pairs, n_steps: int, spin_j: 
     return values.T
 
 
-def loschmidt_echo_series(obs: np.ndarray, pair: FloquetPair, n_steps: int) -> MetricSeries:
-    """Echo Tr(O_n O'_n) / Tr(O^2) at steps 0..n_steps from the observable and
-    the Floquet pair, through the eigenvector overlaps of ``_operator_series``;
-    agrees with ``loschmidt_echo`` on the two trajectories to rounding."""
-    values = _operator_series("loschmidt", obs, [pair], n_steps)[0]
-    return MetricSeries("loschmidt", np.arange(n_steps + 1), values)
-
-
 def relative_entropy_series(obs: np.ndarray, pair: FloquetPair, n_steps: int) -> MetricSeries:
     """Relative entropy of the regularized true vs ideal operator at steps
     0..n_steps, with spectra floored at 1e-12 (``DEFAULT_ENTROPY_FLOOR``).
 
     Both evolved operators keep the regularized spectrum p = |w| / sum |w| of
     O, so the entropy follows from the eigenvector overlaps of
-    ``_operator_series``, |Q_n|^2 = |V^dag E_n^dag V|^2 with E_n the step-n
+    ``operator_series``, |Q_n|^2 = |V^dag E_n^dag V|^2 with E_n the step-n
     ``error_unitary(pair, n)``.
     """
-    values = _operator_series("rel_entropy", obs, [pair], n_steps)[0]
+    values = operator_series("rel_entropy", obs, [pair], n_steps)[0]
     return MetricSeries("rel_entropy", np.arange(n_steps + 1), values)
-
-
-def incompatibility_series(obs: np.ndarray, pair: FloquetPair, n_steps: int, spin_j: float) -> MetricSeries:
-    """Squared commutator ||[O_n, O'_n]||^2 / 2 j^4 at steps 0..n_steps from
-    the observable and the Floquet pair, through the eigenvector overlaps of
-    ``_operator_series``: non-negative at every step, and equal to
-    ``operator_incompatibility`` on the two trajectories to rounding."""
-    values = _operator_series("otoc", obs, [pair], n_steps, spin_j)[0]
-    return MetricSeries("otoc", np.arange(n_steps + 1), values)
 
 
 def operator_incompatibility(

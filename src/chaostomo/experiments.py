@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bloch_analysis import ideal_fidelity_curve
-from .chaos_metrics import _operator_series
+from .chaos_metrics import operator_series
 from .kicked_top import KickedTopParams, floquet_pair, initial_observable, operator_trajectory
 from .series import MetricSeries, mean_and_stderr
 from .spin_algebra import SpinParams, haar_random_state, haar_random_unitary, hermitian_basis, unitary_fractional_power
@@ -278,11 +278,11 @@ def read_series(path) -> tuple[dict, dict]:
     return meta, out
 
 
-def _series_params(config: ExperimentConfig, config_hash: str, **extra) -> dict:
-    params = asdict(config)
-    params["config_hash"] = config_hash
-    params.update(extra)
-    return params
+def _series_params(config: ExperimentConfig, config_hash: str, **coords) -> dict:
+    """A series' CSV metadata: the run's experiment, seed and config hash, and
+    the coordinates (lambda, delta_lambda, eta) the series sits at; any other
+    coordinate column stays empty."""
+    return {"experiment": config.experiment, "seed": config.seed, "config_hash": config_hash, **coords}
 
 
 def _ensemble_states(config: ExperimentConfig, spin: SpinParams) -> np.ndarray:
@@ -358,19 +358,17 @@ def _resampled_fidelity(config, spin, basis, states, rows, maps, k) -> np.ndarra
 def _run_operator_metric(config: ExperimentConfig, config_hash: str):
     """Deterministic operator metrics, one series per kick strength.
 
-    One ``_operator_series`` call evolves the shared observable's
+    One ``operator_series`` call evolves the shared observable's
     eigenvectors under the true and ideal map of every kick strength at once
     and reduces their overlaps step by step, so no operator trajectory is
-    built; each series is bit for bit its one-pair call
-    (``loschmidt_echo_series``, ``relative_entropy_series`` or
-    ``incompatibility_series``). Steps run 0 .. n_steps-1 so every CSV has
-    exactly n_steps rows while the step-0 anchor value (1 for the echo, 0 for
-    the others) stays visible.
+    built; each series is bit for bit its one-pair call. Steps run
+    0 .. n_steps-1 so every CSV has exactly n_steps rows while the step-0
+    anchor value (1 for the echo, 0 for the others) stays visible.
     """
     spin = SpinParams(config.j)
     obs = initial_observable(spin, _subseed(config.seed, _KEY_OBSERVABLE))
     pairs = [floquet_pair(KickedTopParams(lam, config.alpha, config.delta_lambda, spin)) for lam in config.lambda_list]
-    values = _operator_series(config.experiment, obs, pairs, config.n_steps - 1, config.j)
+    values = operator_series(config.experiment, obs, pairs, config.n_steps - 1, config.j)
     out = []
     for lam, row in zip(config.lambda_list, values):
         params = _series_params(config, config_hash, **{"lambda": lam}, delta_lambda=config.delta_lambda)

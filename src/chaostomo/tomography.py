@@ -237,11 +237,10 @@ def _project_feasible(x: np.ndarray, d: int, interior: np.ndarray) -> tuple[np.n
 
 
 def _physical(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch components in ``basis`` and density matrices of interleaved rows,
-    batched like ``x``."""
-    rho = np.atleast_2d(x).view(complex).reshape(-1, *basis.shape[1:])
-    r = to_bloch(rho, basis)
-    return (r[0], rho[0]) if x.ndim == 1 else (r, rho)
+    """Bloch components in ``basis`` (b, d^2 - 1) and density matrices
+    (b, d, d) of interleaved rows (b, 2d^2)."""
+    rho = x.view(complex).reshape(-1, *basis.shape[1:])
+    return to_bloch(rho, basis), rho
 
 
 def _per_table(rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
@@ -272,12 +271,12 @@ def _projected_gradient(
 ) -> np.ndarray:
     """Minimize sum_k Tr(O_k (rho - rho_ml))^2 over density matrices, row by row.
 
-    ``x_ml`` holds rho_ml as one interleaved row or a batch (b, 2d^2);
-    ``tables`` (g, k, 2d^2) the operators O_k as interleaved rows, one table
-    shared by every row (g = 1) or one per row (g = b); ``lam_max`` (g,) the
-    top eigenvalue of each table's Gram matrix Tr(O_k O_l); ``x_start`` the
-    rows of a warm start (projected first), batched like x_ml, or None for a
-    cold solve from rho_ml.
+    ``x_ml`` holds rho_ml as interleaved rows (b, 2d^2); ``tables``
+    (g, k, 2d^2) the operators O_k as interleaved rows, one table shared by
+    every row (g = 1) or one per row (g = b); ``lam_max`` (g,) the top
+    eigenvalue of each table's Gram matrix Tr(O_k O_l); ``x_start`` the rows
+    of a warm start (projected first), shaped like x_ml, or None for a cold
+    solve from rho_ml.
     Projected gradient with step 1/L, Nesterov momentum, and a function
     restart whenever the (feasible) objective rises; the momentum cuts the
     iteration count by roughly the square root of the condition number
@@ -301,25 +300,19 @@ def _projected_gradient(
     definite, before eigh. The working arrays hold only the rows still
     iterating, so stragglers iterate alone; with one table per row, each
     row's arithmetic, flag included, is that of a one-row call. Returns the
-    solutions as interleaved rows, batched like x_ml; raises
+    solutions as interleaved rows (b, 2d^2); raises
     ProjectionConvergenceError with their Bloch components and density
     matrices at the iteration cap.
     """
     d = basis.shape[1]
-    single = x_ml.ndim == 1
     cold = x_start is None
-    x_ml = np.atleast_2d(x_ml)
-    x_out, interior = _project_feasible(x_ml if cold else np.atleast_2d(x_start), d, np.ones(len(x_ml), bool))
-
-    def solutions():
-        return x_out[0] if single else x_out
-
+    x_out, interior = _project_feasible(x_ml if cold else x_start, d, np.ones(len(x_ml), bool))
     per_row = len(tables) > 1
     lam = np.repeat(lam_max, len(x_ml) // len(tables))
     rows = np.flatnonzero(lam > 0)
     if rows.size == 0:
         # A zero Gram matrix makes the objective zero: any feasible point is optimal.
-        return solutions()
+        return x_out
     # Per-row tables are copied once, so the caller's stay intact, and then
     # compacted in place.
     tables = tables[rows] if per_row else tables
@@ -357,7 +350,7 @@ def _projected_gradient(
             x_out[rows[done]] = x[done]
             keep = ~done
             if not keep.any():
-                return solutions()
+                return x_out
             rows, x, resid, obj, y, y_resid, momentum, interior, x_ml, lam, lip, obj_floor = (
                 a[keep] for a in (rows, x, resid, obj, y, y_resid, momentum, interior, x_ml, lam, lip, obj_floor)
             )
@@ -368,8 +361,21 @@ def _projected_gradient(
     x_out[rows] = x
     raise ProjectionConvergenceError(
         f"physicality projection did not converge within {max_iter} iterations",
-        *_physical(solutions(), basis),
+        *_physical(x_out, basis),
     )
+
+
+def _cold_solve(
+    table: np.ndarray, x_ml: np.ndarray, lam_max: np.ndarray, max_iter: int, basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch components and density matrix of the cold ``_projected_gradient``
+    solve of one row x_ml (1, 2d^2); a ProjectionConvergenceError carries
+    that row's iterate alone."""
+    try:
+        r, rho = _physical(_projected_gradient(table, x_ml, lam_max, max_iter, basis), basis)
+    except ProjectionConvergenceError as exc:
+        raise ProjectionConvergenceError(str(exc), exc.r_bar[0], exc.rho_bar[0]) from None
+    return r[0], rho[0]
 
 
 def psd_project(
@@ -394,7 +400,7 @@ def psd_project(
     keep = w > 0
     table = (v[:, keep] * np.sqrt(w[keep])).T @ _interleaved(basis)
     x_ml = _interleaved(from_bloch(r_ml, basis))
-    return _physical(_projected_gradient(table[None], x_ml, w[-1:], max_iter, basis), basis)
+    return _cold_solve(table[None], x_ml[None], w[-1:], max_iter, basis)
 
 
 def fidelity(psi0: np.ndarray, rho: np.ndarray) -> float:
@@ -428,8 +434,7 @@ def reconstruct(
     # The one-row case of fidelity_matrix's least-squares step, solved cold.
     table = _operator_table(traj[None, 1:], basis)
     x_ml, lam_max = _least_squares(table, table @ table.swapaxes(-1, -2), record.values[None], basis.shape[1])
-    x = _projected_gradient(table, x_ml[0], lam_max, DEFAULT_MAX_ITER, basis)
-    r_bar, rho_bar = _physical(x, basis)
+    r_bar, rho_bar = _cold_solve(table, x_ml, lam_max, DEFAULT_MAX_ITER, basis)
     r_ml = to_bloch(x_ml.view(complex).reshape(basis.shape[1:]), basis)
     fid = fidelity(psi0, rho_bar) if psi0 is not None else None
     return TomographyEstimate(r_ml=r_ml, r_bar=r_bar, rho_bar=rho_bar, fidelity=fid)

@@ -14,17 +14,15 @@ from chaostomo import (
     floquet_pair,
     haar_random_unitary,
     incompatibility_otoc_form,
-    incompatibility_series,
     initial_observable,
     loschmidt_echo,
-    loschmidt_echo_series,
     operator_incompatibility,
+    operator_series,
     operator_trajectory,
     regularize,
     relative_entropy,
     relative_entropy_series,
 )
-from chaostomo.chaos_metrics import _operator_series
 
 
 @pytest.fixture(scope="module")
@@ -204,50 +202,48 @@ class TestOperatorSeries:
     @pytest.mark.parametrize("lam", [0.5, 2.5, 7.0])
     def test_match_trajectory_forms(self, spin10, lam, dlam):
         traj_true, traj_ideal, pair, obs = trajectories(spin10, lam, dlam, 200)
+        echo = operator_series("loschmidt", obs, [pair], 200, 10.0)[0]
+        otoc = operator_series("otoc", obs, [pair], 200, 10.0)[0]
         checks = [
-            (loschmidt_echo_series(obs, pair, 200), loschmidt_echo(traj_true, traj_ideal)),
-            (incompatibility_series(obs, pair, 200, 10.0), operator_incompatibility(traj_true, traj_ideal, 10.0)),
+            (echo, loschmidt_echo(traj_true, traj_ideal).values),
+            (otoc, operator_incompatibility(traj_true, traj_ideal, 10.0).values),
         ]
-        for series, reference in checks:
-            assert series.metric_name == reference.metric_name
-            np.testing.assert_array_equal(series.times, reference.times)
-            error = np.abs(series.values - reference.values)
-            assert np.all(error <= 1e-12 * np.maximum(np.abs(reference.values), 1e-5)), series.metric_name
-        echo, otoc = checks[0][0].values, checks[1][0].values
+        for values, reference in checks:
+            assert values.shape == reference.shape
+            error = np.abs(values - reference)
+            assert np.all(error <= 1e-12 * np.maximum(np.abs(reference), 1e-5))
         assert abs(echo[0] - 1) <= 1e-12
         # A sum of non-negative terms, so no rounding can make it negative.
         assert np.all(otoc >= 0)
 
-    @pytest.mark.parametrize(
-        "metric,one_pair",
-        [
-            ("loschmidt", loschmidt_echo_series),
-            ("rel_entropy", relative_entropy_series),
-            ("otoc", lambda obs, pair, n: incompatibility_series(obs, pair, n, 10.0)),
-        ],
-    )
-    def test_stacked_pairs_match_one_pair_calls(self, spin10, metric, one_pair):
+    @pytest.mark.parametrize("metric", ["loschmidt", "rel_entropy", "otoc"])
+    def test_stacked_pairs_match_one_pair_calls(self, spin10, metric):
         obs = initial_observable(spin10, 5)
         pairs = [floquet_pair(KickedTopParams(lam, 1.4, 0.01, spin10)) for lam in (0.5, 2.5, 7.0)]
-        stacked = _operator_series(metric, obs, pairs, 60, 10.0)
+        stacked = operator_series(metric, obs, pairs, 60, 10.0)
         assert stacked.shape == (3, 61)
         for row, pair in zip(stacked, pairs):
-            np.testing.assert_array_equal(row, one_pair(obs, pair, 60).values)
+            np.testing.assert_array_equal(row, operator_series(metric, obs, [pair], 60, 10.0)[0])
 
     @pytest.mark.parametrize("metric", ["loschmidt", "rel_entropy", "otoc"])
     def test_reject_bad_input(self, spin10, metric):
         pair, obs = pair_and_observable(spin10, 3.0, 0.01)
         with pytest.raises(ValueError):
-            _operator_series(metric, obs[:5, :5], [pair], 3)
+            operator_series(metric, obs[:5, :5], [pair], 3)
         with pytest.raises(ValueError):
-            _operator_series(metric, obs, [pair], -1)
+            operator_series(metric, obs, [pair], -1)
 
-    @pytest.mark.parametrize("series", [loschmidt_echo_series, relative_entropy_series])
-    def test_reject_zero_observable(self, spin10, series):
+    def test_reject_unknown_metric(self, spin10):
+        pair, obs = pair_and_observable(spin10, 3.0, 0.01)
+        with pytest.raises(ValueError, match="metric"):
+            operator_series("entropy", obs, [pair], 3)
+
+    @pytest.mark.parametrize("metric", ["loschmidt", "rel_entropy"])
+    def test_reject_zero_observable(self, spin10, metric):
         # Neither normalizes O = 0; the incompatibility is simply 0 there.
         pair, obs = pair_and_observable(spin10, 3.0, 0.01)
         with pytest.raises(ValueError):
-            series(np.zeros_like(obs), pair, 3)
+            operator_series(metric, np.zeros_like(obs), [pair], 3)
 
 
 class TestUnitaryCovariance:

@@ -19,13 +19,11 @@ from chaostomo import (
     haar_random_unitary,
     hermitian_basis,
     ideal_fidelity_curve,
-    incompatibility_series,
     initial_observable,
-    loschmidt_echo_series,
+    operator_series,
     operator_trajectory,
     parse_config,
     read_series,
-    relative_entropy_series,
     run,
     unitary_fractional_power,
     write_series,
@@ -291,6 +289,15 @@ class TestRunExperiments:
             assert len(cols["value"]) == 3 * 3  # d^2 values of k for j=1
             assert cols["value"][0] == pytest.approx(1 / 3)
 
+    def test_bloch_perturb_fills_only_eta(self, tmp_path):
+        # The Bloch analysis has no kick, so its lambda columns stay empty.
+        config = tiny_config("bloch_perturb", tmp_path, eta_list=(0.0, 0.2))
+        manifest = run(config)
+        for eta, path in zip(config.eta_list, manifest.series_files):
+            _, cols = read_series(path)
+            assert set(cols["lambda"]) == set(cols["delta_lambda"]) == {None}
+            assert set(cols["eta"]) == {eta}
+
     def test_manifest_contents(self, tmp_path):
         config = tiny_config("loschmidt", tmp_path, n_steps=4)
         manifest = run(config)
@@ -460,8 +467,8 @@ class TestOperatorStreams:
     """The runner's operator-metric and Bloch CSVs equal a direct computation,
     one Floquet pair and one rotation at a time, from the documented spawn
     keys: shared observable (0,), basis unitary (1,), states (2, i). The
-    operator metrics' reference is the one-pair series, which
-    ``TestOperatorSeries`` checks against the trajectory forms."""
+    operator metrics' reference is the one-pair ``operator_series`` call,
+    which ``TestOperatorSeries`` checks against the trajectory forms."""
 
     @staticmethod
     def _key(config, *parts):
@@ -471,12 +478,7 @@ class TestOperatorStreams:
         spin = SpinParams(config.j)
         obs = initial_observable(spin, self._key(config, 0))
         pair = floquet_pair(KickedTopParams(lam, config.alpha, config.delta_lambda, spin))
-        n = config.n_steps - 1
-        if config.experiment == "rel_entropy":
-            return relative_entropy_series(obs, pair, n).values
-        if config.experiment == "loschmidt":
-            return loschmidt_echo_series(obs, pair, n).values
-        return incompatibility_series(obs, pair, n, config.j).values
+        return operator_series(config.experiment, obs, [pair], config.n_steps - 1, config.j)[0]
 
     @pytest.mark.parametrize("experiment", ["loschmidt", "otoc", "rel_entropy"])
     def test_operator_series_match_documented_streams(self, tmp_path, experiment):

@@ -448,7 +448,7 @@ class TestStepRule:
         project, counted = tomography._project_feasible, []
 
         def counting(x, d, interior):
-            counted.append(len(np.atleast_2d(x)))
+            counted.append(len(x))
             return project(x, d, interior)
 
         monkeypatch.setattr(tomography, "_project_feasible", counting)
@@ -465,7 +465,7 @@ class TestStepRule:
             table = _operator_table(traj_ideal[None, 1:], basis)
             x_ml, lam_max = _least_squares(table, table @ table.swapaxes(-1, -2), rec.values[None], 21)
             # A given start is a warm start, which keeps the fixed step.
-            x = _projected_gradient(table, x_ml[0], lam_max, DEFAULT_MAX_ITER, basis, x_start=x_ml[0])
+            x = _projected_gradient(table, x_ml, lam_max, DEFAULT_MAX_ITER, basis, x_start=x_ml)
             fixed_rows += sum(counted)
             objective = [
                 np.sum((np.einsum("kij,ji->k", traj_ideal[1:], rho).real - rec.values) ** 2)
